@@ -79,7 +79,6 @@ class GestureEvent:
     gesture: GestureClass
     fired_at: float
     mean_confidence: float
-    swipe_substate_trace: tuple[int, ...] | None = None
 
 
 def _validate_probs(probs) -> np.ndarray:

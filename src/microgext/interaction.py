@@ -3,8 +3,8 @@
 Right hand: fired gesture events map to editing commands. The Swipe event
 resolves to caret movement, or to range selection while selection mode is
 armed by a sustained pinch (thumb and index held together for two seconds).
-Direction and magnitude come from the event's sub-state trace: the net
-sub-state change during confirmation, at least one unit per fired swipe.
+Each fired swipe moves one unit at the current granularity; the runner
+supplies its direction from the trend of the whole swipe episode.
 
 Left hand: a thumb-up pose opens the granularity menu; while it is open,
 wrist roll sweeps a highlight across the four modes (45 degree sectors over
@@ -55,55 +55,23 @@ MODE_ORDER = (
 
 @dataclass
 class EditorContext:
-    """Session-level interaction state consulted when binding events.
-
-    swipe_unit_mode picks how a fired swipe maps to caret units:
-      * "single": one unit per fired event, direction from the episode
-        trend (default; robust to state-head calibration differences)
-      * "crossings": one unit per sub-state boundary the episode crossed
-      * "continuous": units proportional to the episode's u displacement
-    """
+    """Session-level interaction state consulted when binding events."""
 
     selection_armed: bool = False
-    swipe_unit_mode: str = "single"
-    pending_swipe_delta: int | None = None  # set by a runner tracking the whole swipe episode
 
 
-def swipe_delta(event: GestureEvent) -> int:
-    """Fallback signed unit count from the event's own confirmation trace.
-
-    Used only when no runner supplies an episode-level delta: net sub-state
-    change over the trace, never less than one unit, sign following the
-    trace trend and defaulting to forward.
-    """
-    trace = [s for s in (event.swipe_substate_trace or ()) if s != 4]
-    if len(trace) < 2:
-        return 1
-    net = trace[-1] - trace[0]
-    if net == 0:
-        diffs = np.diff(trace)
-        trend = int(np.sign(diffs.sum())) if len(diffs) else 0
-        return trend or 1
-    return int(np.sign(net)) * max(1, abs(net))
-
-
-def bind_event(event: GestureEvent, ctx: EditorContext) -> EditCommand:
+def bind_event(event: GestureEvent, ctx: EditorContext, direction: int = 1) -> EditCommand:
     """Total mapping from a fired gesture event to an editing command.
 
-    Swipe deltas come from ctx.pending_swipe_delta when a runner has tracked
-    the full swipe episode; otherwise they fall back to the event's own
-    confirmation trace.
+    A Swipe binds to one unit in ``direction`` (+1 or -1), which the runner
+    takes from the whole swipe episode; other gestures ignore it.
     """
     if event.gesture in GESTURE_COMMANDS:
         return EditCommand(GESTURE_COMMANDS[event.gesture])
     if event.gesture is GestureClass.SWIPE:
-        if ctx.pending_swipe_delta is not None:
-            delta = ctx.pending_swipe_delta
-        else:
-            delta = swipe_delta(event)
         if ctx.selection_armed:
-            return EditCommand.select_range(delta)
-        return EditCommand.move_caret(delta)
+            return EditCommand.select_range(direction)
+        return EditCommand.move_caret(direction)
     raise ValueError(f"no command binding for {event.gesture}")
 
 

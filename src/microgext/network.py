@@ -124,14 +124,6 @@ class ModelParams:
         return replace(self, tau=float(tau))
 
 
-@dataclass(frozen=True)
-class ModelOutput:
-    class_logits: np.ndarray  # (8,) pre-temperature
-    class_probs: np.ndarray  # (8,) softmax(class_logits / tau)
-    state_logits: np.ndarray  # (T, 5)
-    embedding: np.ndarray  # (H,) L2-normalized
-
-
 def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
     rng = np.random.Generator(np.random.PCG64(seed))
     h = hp.hidden
@@ -222,18 +214,6 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
             e_raw=e_raw, e_norms=norms,
         )
     return out
-
-
-def forward(params: ModelParams, window) -> ModelOutput:
-    """Single-window forward pass; accepts a FeatureWindow or (T, J, D) array."""
-    data = getattr(window, "data", window)
-    out = forward_batch(params, np.asarray(data)[None, ...])
-    return ModelOutput(
-        class_logits=out["class_logits"][0],
-        class_probs=out["class_probs"][0],
-        state_logits=out["state_logits"][0],
-        embedding=out["embedding"][0],
-    )
 
 
 def batch_loss(params: ModelParams, x, class_labels, state_labels, hp: HyperParams) -> float:

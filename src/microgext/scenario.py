@@ -17,7 +17,7 @@ the document in timestamp order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class Scenario:
     # scripted actions leave a preparation pause between commands, so the
     # post-fire lockout can safely cover a whole action
     fsm_refractory: int = 60
-    swipe_unit_mode: str = "single"
 
     def subject(self) -> SubjectParams:
         return SubjectParams(subject_id=-1, pose_jitter_std=self.jitter_std, rng_seed=self.seed)
@@ -91,14 +90,28 @@ class Scenario:
         return FsmConfig(refractory=self.fsm_refractory)
 
     def context(self) -> EditorContext:
-        return EditorContext(swipe_unit_mode=self.swipe_unit_mode)
+        return EditorContext()
+
+
+class UnknownScenarioKey(ValueError):
+    pass
+
+
+def _reject_unknown_keys(raw: dict, cls, where: str) -> None:
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise UnknownScenarioKey(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def load_scenario(path) -> Scenario:
+    """Parse a scenario script; keys that no Scenario or ScenarioStep field
+    takes are rejected, so a misspelt or retired key never goes unnoticed."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    _reject_unknown_keys(raw, Scenario, "scenario")
     steps = []
     for s in raw.get("steps", []):
+        _reject_unknown_keys(s, ScenarioStep, "step")
         steps.append(
             ScenarioStep(
                 kind=s["kind"],
@@ -119,7 +132,6 @@ def load_scenario(path) -> Scenario:
         steps=tuple(steps),
         jitter_std=raw.get("jitter_std", 0.0006),
         fsm_refractory=raw.get("fsm_refractory", 60),
-        swipe_unit_mode=raw.get("swipe_unit_mode", "single"),
     )
 
 
@@ -140,28 +152,12 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "seed": sc.seed,
         "jitter_std": sc.jitter_std,
         "fsm_refractory": sc.fsm_refractory,
-        "swipe_unit_mode": sc.swipe_unit_mode,
         "steps": steps,
     }
 
 
 def _frames(seconds: float) -> int:
     return max(1, int(round(seconds * FRAME_RATE)))
-
-
-def _u_bin(u: float) -> int:
-    return min(3, int(np.clip(u, 0.0, 1.0) * 4.0))
-
-
-def _expected_swipe_delta(u_from: float, u_to: float, mode: str) -> int:
-    """Units the scripted thumb path should produce under a unit mode:
-    one per fired swipe ("single"), or one per sub-state boundary crossed,
-    never less than one unit, signed by direction."""
-    sign = 1 if u_to >= u_from else -1
-    if mode == "single":
-        return sign
-    net = abs(_u_bin(u_to) - _u_bin(u_from))
-    return sign * max(1, net)
 
 
 def _smooth(n: int) -> np.ndarray:
@@ -174,8 +170,7 @@ def compile_scenario(sc: Scenario):
 
     Returns (frames, expected): frames are right- and left-hand HandFrames
     sorted by timestamp; expected is the list of EditCommands the session
-    should produce (swipe deltas assume the scripted short swipes, which
-    cross at most one sub-state boundary during confirmation).
+    should produce (one unit per swipe, signed by its scripted direction).
     """
     rest = POSES["rest"]
     tracks: list[PoseTrack] = []
@@ -215,7 +210,7 @@ def compile_scenario(sc: Scenario):
             extend(PoseTrack(base.curls, base.spread, thumb_u=u, thumb_w=base.thumb_w))
             extend_const(end, _frames(step.hold))
             extend_blend(end, rest, _frames(_BLEND_S))
-            delta = _expected_swipe_delta(step.u_from, step.u_to, sc.swipe_unit_mode)
+            delta = 1 if step.u_to >= step.u_from else -1
             if selection_armed:
                 expected.append(EditCommand.select_range(delta))
                 selection_armed = False
@@ -300,9 +295,9 @@ class _SwipeEpisode:
     The FSM fires early (as soon as the pose is confirmed), before the user
     has actually moved. Binding at fire time would therefore measure the
     landing, not the swipe, so the command is deferred: progress u is
-    sampled every frame until the thumb leaves the rail, and the delta is
-    derived from the whole trajectory. The direction comes from a least
-    squares trend over the samples, which averages out per-frame noise.
+    sampled every frame until the thumb leaves the rail, and the direction
+    comes from a least squares trend over the whole trajectory, which
+    averages out per-frame noise.
     """
 
     END_AFTER_MISSES = 3
@@ -326,20 +321,6 @@ class _SwipeEpisode:
             return 1
         slope = np.polyfit(np.arange(len(self.us)), np.asarray(self.us), 1)[0]
         return -1 if slope < 0 else 1
-
-    def delta(self, mode: str = "single") -> int:
-        if len(self.us) < 2:
-            return 1
-        sign = self.direction()
-        if mode == "single":
-            return sign
-        us = np.asarray(self.us)
-        span = abs(float(np.percentile(us, 95)) - float(np.percentile(us, 5)))
-        if mode == "continuous":
-            return sign * max(1, round(span * 4.0))
-        # "crossings": sub-state bins spanned by the trajectory envelope
-        mag = _u_bin(float(us.max())) - _u_bin(float(us.min()))
-        return sign * max(1, mag)
 
 
 def run_session(
@@ -373,9 +354,7 @@ def run_session(
         nonlocal doc, episode
         if episode is None:
             return
-        ctx.pending_swipe_delta = episode.delta(ctx.swipe_unit_mode)
-        command = bind_event(episode.event, ctx)
-        ctx.pending_swipe_delta = None
+        command = bind_event(episode.event, ctx, episode.direction())
         ctx.selection_armed = False
         episode = None
         doc = _apply(doc, command, result, now)
@@ -435,9 +414,8 @@ def default_scenario(seed: int = 7) -> Scenario:
     gestures (two swipes for navigation and selection, then the six static
     commands), composed so every command is legal when it arrives.
 
-    Swipes map to one unit per fired event (the default unit mode), so the
-    expected deltas do not depend on any particular model's sub-state
-    calibration.
+    Swipes map to one unit per fired event, so the expected deltas do not
+    depend on any particular model's sub-state calibration.
     """
     return Scenario(
         initial_text="The quick brown fox jumps over the lazy dog. Pack my box.\n\nSecond paragraph for keeps.",

@@ -20,13 +20,14 @@ import numpy as np
 
 from .evaluation import EvalReport, render_report
 from .fsm import GestureEvent
-from .network import HyperParams, ModelParams, param_shapes
+from .network import HyperParams, ModelParams, ShapeMismatch, param_shapes
 from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness, JointPose
 from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip
 
 MGD_MAGIC = b"MGD1"
 MGC_MAGIC = b"MGC1"
-MGS_VERSION = 1
+MGS_VERSION = 2
+MGL_VERSION = 1
 MGR_VERSION = 1
 FORMAT_VERSION = 1
 
@@ -140,10 +141,6 @@ def read_dataset(path) -> Dataset:
 # Checkpoints (.mgc)
 # ---------------------------------------------------------------------------
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 def _checkpoint_payload(params: ModelParams) -> bytes:
     header = {
         "format_version": FORMAT_VERSION,
@@ -236,10 +233,9 @@ def write_session(path, frames: list[HandFrame], events: list[GestureEvent]) -> 
             pose = np.concatenate([np.concatenate([j.position, j.orientation]) for j in frame.joints])
             fh.write(f"F {repr(float(np.float32(frame.timestamp)))} {hand} {_f32s(pose)}\n")
         for ev in events:
-            trace = ",".join(str(s) for s in ev.swipe_substate_trace) if ev.swipe_substate_trace else "-"
             fh.write(
                 f"E {repr(float(np.float32(ev.fired_at)))} {ev.gesture.value} "
-                f"{repr(float(np.float32(ev.mean_confidence)))} {trace}\n"
+                f"{repr(float(np.float32(ev.mean_confidence)))}\n"
             )
 
 
@@ -268,13 +264,13 @@ def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
                     joints = tuple(JointPose(pose[j, :3], pose[j, 3:]) for j in range(NUM_JOINTS))
                     frames.append(HandFrame(ts, hand, joints))
                 elif parts[0] == "E":
-                    trace = None if parts[4] == "-" else tuple(int(s) for s in parts[4].split(","))
+                    if len(parts) != 4:
+                        raise CorruptRecord(f"event record at line {lineno} has {len(parts)} fields, not 4")
                     events.append(
                         GestureEvent(
                             gesture=GestureClass(parts[2]),
                             fired_at=float(parts[1]),
                             mean_confidence=float(parts[3]),
-                            swipe_substate_trace=trace,
                         )
                     )
                 else:
@@ -297,7 +293,7 @@ def write_command_log(path, entries) -> None:
     from .editor import CommandKind, Granularity  # local: avoids cycle at import
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"MGL{MGS_VERSION}\n")
+        fh.write(f"MGL{MGL_VERSION}\n")
         for timestamp, command in entries:
             args = []
             if command.kind in (CommandKind.MOVE_CARET, CommandKind.SELECT_RANGE):
@@ -314,7 +310,7 @@ def read_command_log(path):
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != f"MGL{MGS_VERSION}":
+        if header != f"MGL{MGL_VERSION}":
             raise VersionMismatch(f"unsupported command log header: {header!r}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()

@@ -12,7 +12,7 @@ All types are immutable values; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,6 @@ from . import quat
 
 T_WINDOW = 20
 NUM_JOINTS = 11
-FEATURES_PER_JOINT = 7
 
 JOINT_NAMES = (
     "Wrist",
@@ -55,27 +54,7 @@ class Handedness(Enum):
     RIGHT = "Right"
 
 
-class WrongFrameCount(ValueError):
-    pass
-
-
 class MixedHandedness(ValueError):
-    pass
-
-
-class NonMonotoneTimestamps(ValueError):
-    pass
-
-
-class AlreadyRight(ValueError):
-    pass
-
-
-class TooFewFrames(ValueError):
-    pass
-
-
-class NonPositiveRate(ValueError):
     pass
 
 
@@ -139,34 +118,14 @@ class HandFrame:
         return cached
 
 
-@dataclass(frozen=True)
-class FeatureWindow:
-    """T x J x D tensor of wrist-relative features.
-
-    Row layout per joint: relative position (3) then relative quaternion
-    (w, x, y, z) sign-normalized so w >= 0. The wrist row is the canonical
-    self-relative value (0, 0, 0, 1, 0, 0, 0).
-    """
-
-    data: np.ndarray = field()
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != (T_WINDOW, NUM_JOINTS, FEATURES_PER_JOINT):
-            raise ValueError(f"feature window must be {(T_WINDOW, NUM_JOINTS, FEATURES_PER_JOINT)}, got {data.shape}")
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-
-
 def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.ndarray:
     """Wrist-relative features for stacked frames, shape (..., J, 7).
 
     rel_pos = inv(q_wrist) * (p_j - p_wrist), rel_quat = inv(q_wrist) * q_j
-    with the quaternion sign canonicalized. The wrist row is written exactly
-    rather than computed, so it is bit-stable across inputs. Accepts any
-    number of leading frame axes; this is the hot path the training pipeline
-    uses to featurize whole clips in one call.
+    with the quaternion sign canonicalized (w >= 0). The wrist row is
+    written exactly rather than computed, so it is bit-stable across inputs.
+    Accepts any number of leading frame axes; this is the hot path the
+    training pipeline uses to featurize whole clips in one call.
     """
     pos = np.asarray(positions, dtype=np.float64)
     ori = np.asarray(orientations, dtype=np.float64)
@@ -176,100 +135,4 @@ def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.
     rel_quat = quat.sign_normalize(quat.multiply(inv_w, ori))
     out = np.concatenate([rel_pos, rel_quat], axis=-1)
     out[..., WRIST, :] = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    return out
-
-
-def frame_features(frame: HandFrame) -> np.ndarray:
-    """Wrist-relative features of a single frame, shape (J, 7)."""
-    return features_from_arrays(frame.positions(), frame.orientations())
-
-
-def extract_features(frames) -> FeatureWindow:
-    """Convert exactly T frames of one hand into a FeatureWindow.
-
-    Frames must share handedness and carry strictly increasing timestamps.
-    """
-    frames = list(frames)
-    if len(frames) != T_WINDOW:
-        raise WrongFrameCount(f"expected {T_WINDOW} frames, got {len(frames)}")
-    hands = {f.handedness for f in frames}
-    if len(hands) != 1:
-        raise MixedHandedness("frames mix left and right hands")
-    ts = np.array([f.timestamp for f in frames])
-    if not np.all(np.diff(ts) > 0):
-        raise NonMonotoneTimestamps("timestamps must be strictly increasing")
-    pos = np.stack([f.positions() for f in frames])
-    ori = np.stack([f.orientations() for f in frames])
-    return FeatureWindow(features_from_arrays(pos, ori))
-
-
-_MIRROR_POS = np.array([-1.0, 1.0, 1.0])
-_MIRROR_QUAT = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def mirror_to_right(frame: HandFrame) -> HandFrame:
-    """Reflect a left-hand frame across the x = 0 plane of its wrist frame.
-
-    The wrist keeps its world pose; every joint's wrist-local position has
-    its x negated and its wrist-local rotation is conjugated by the mirror
-    (w, x, -y, -z). Mirroring twice is the identity, and all inter-joint
-    distances are preserved.
-    """
-    if frame.handedness is Handedness.RIGHT:
-        raise AlreadyRight("frame is already right-handed")
-    pos = frame.positions()
-    ori = frame.orientations()
-    q_w = ori[WRIST]
-    inv_w = quat.conjugate(q_w)
-    local_pos = quat.rotate(inv_w, pos - pos[WRIST]) * _MIRROR_POS
-    local_rot = quat.multiply(inv_w, ori) * _MIRROR_QUAT
-    new_pos = pos[WRIST] + quat.rotate(q_w, local_pos)
-    new_ori = quat.multiply(q_w, local_rot)
-    joints = tuple(JointPose(new_pos[j], new_ori[j]) for j in range(NUM_JOINTS))
-    return HandFrame(frame.timestamp, Handedness.RIGHT, joints)
-
-
-def resample_clip(frames, target_rate: float) -> list[HandFrame]:
-    """Resample to uniform target_rate spacing over the original time span.
-
-    Positions interpolate linearly, orientations via slerp. Output frames sit
-    at t0 + k / target_rate for k = 0 .. floor(span * rate), so the first
-    frame is always kept and the last is kept when the span is an exact
-    multiple of the target period.
-    """
-    frames = list(frames)
-    if len(frames) < 2:
-        raise TooFewFrames("resampling needs at least 2 frames")
-    if not target_rate > 0:
-        raise NonPositiveRate(f"target rate must be positive, got {target_rate}")
-    ts = np.array([f.timestamp for f in frames])
-    if not np.all(np.diff(ts) > 0):
-        raise NonMonotoneTimestamps("timestamps must be strictly increasing")
-
-    span = ts[-1] - ts[0]
-    n_out = int(np.floor(span * target_rate + 1e-9)) + 1
-    out = []
-    positions = np.stack([f.positions() for f in frames])
-    orientations = np.stack([f.orientations() for f in frames])
-    knot_eps = 1e-9 / target_rate
-    for k in range(n_out):
-        t = ts[0] + k / target_rate
-        i = int(np.searchsorted(ts, t, side="right")) - 1
-        i = min(max(i, 0), len(frames) - 2)
-        # exact knot hits copy the source frame verbatim (slerp would be
-        # free to return the sign-flipped endpoint quaternion)
-        if abs(t - ts[i]) <= knot_eps:
-            out.append(HandFrame(float(t), frames[0].handedness, frames[i].joints))
-            continue
-        if abs(t - ts[i + 1]) <= knot_eps:
-            out.append(HandFrame(float(t), frames[0].handedness, frames[i + 1].joints))
-            continue
-        alpha = float((t - ts[i]) / (ts[i + 1] - ts[i]))
-        alpha = min(max(alpha, 0.0), 1.0)
-        pos = (1.0 - alpha) * positions[i] + alpha * positions[i + 1]
-        joints = tuple(
-            JointPose(pos[j], quat.slerp(orientations[i, j], orientations[i + 1, j], alpha))
-            for j in range(NUM_JOINTS)
-        )
-        out.append(HandFrame(float(t), frames[0].handedness, joints))
     return out

@@ -6,15 +6,14 @@ featurized together with its window, run through the model, and fed to the
 FSM; a GestureEvent comes back on the frame where the FSM fires. Per-call
 wall time is recorded for the latency benchmark.
 
-While the FSM tracks a Swipe candidate, the runtime captures the per-frame
-sub-state prediction of the newest frame; a fired Swipe event carries that
-trace so the editor binding can derive a direction and magnitude.
+Each inference also reads the swipe progress u of the newest frame
+(``last_swipe_u``), from which the session runner derives a swipe's
+direction.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import nullcontext
 
 import numpy as np
@@ -29,7 +28,7 @@ from .skeleton import (
     MixedHandedness,
     features_from_arrays,
 )
-from .synth import CLASS_NAMES, GestureClass, SubState
+from .synth import CLASS_NAMES, SubState
 
 
 class OutOfOrderFrame(ValueError):
@@ -61,18 +60,14 @@ class ModelPredictor:
         return out["class_probs"][0], out["state_logits"][0]
 
 
-def swipe_progress(window, state_logits: np.ndarray):
+def swipe_progress(state_logits: np.ndarray):
     """Normalized thumb position u in [0, 1] from the newest frame's state
     probabilities, or None when the not-swiping state dominates.
 
     u is the expected sub-state over states 0-3 (state-4 mass excluded from
     the expectation) divided by 3.
     """
-    data = np.asarray(getattr(window, "data", window))
-    if data.shape[0] != T_WINDOW:
-        raise ValueError("window does not match the model's frame count")
-    logits = np.asarray(state_logits)
-    probs = losses.softmax(logits[-1])
+    probs = losses.softmax(np.asarray(state_logits)[-1])
     if probs[SubState.NOT_SWIPING] > 0.5:
         return None
     sub = probs[:4]
@@ -85,22 +80,17 @@ def swipe_progress(window, state_logits: np.ndarray):
 class StreamRuntime:
     """Single-consumer online recognizer for one hand stream."""
 
-    def __init__(self, predictor, cfg: FsmConfig | None = None, collect_latency: bool = True):
+    def __init__(self, predictor, cfg: FsmConfig | None = None):
         if isinstance(predictor, network.ModelParams):
             predictor = ModelPredictor(predictor)
         self.predictor = predictor
         self.cfg = cfg or FsmConfig()
         self.state = FsmState.initial()
-        self.buffer: deque[HandFrame] = deque(maxlen=T_WINDOW)
         self.last_timestamp: float | None = None
         self.latencies_ms: list[float] = []
-        self.collect_latency = collect_latency
-        self.last_probs: np.ndarray | None = None
-        self.last_state_logits: np.ndarray | None = None
         self.last_swipe_u: float | None = None
         self._streak_confidences: list[float] = []
-        self._streak_substates: list[int] = []
-        # rolling joint arrays mirror the frame deque so each push stacks
+        # rolling joint arrays of the last T frames, so each push stacks
         # nothing but the newest frame (keeps per-frame latency flat)
         self._pos_ring = np.zeros((T_WINDOW, NUM_JOINTS, 3))
         self._ori_ring = np.zeros((T_WINDOW, NUM_JOINTS, 4))
@@ -109,7 +99,7 @@ class StreamRuntime:
 
     def push_frame(self, frame: HandFrame) -> GestureEvent | None:
         """Ingest one frame; returns an event iff the FSM fires on it."""
-        start = time.perf_counter() if self.collect_latency else 0.0
+        start = time.perf_counter()
         if frame.handedness is not Handedness.RIGHT:
             raise MixedHandedness("runtime consumes a right-hand stream")
         if self.last_timestamp is not None and frame.timestamp <= self.last_timestamp:
@@ -117,52 +107,37 @@ class StreamRuntime:
                 f"timestamp {frame.timestamp} not after {self.last_timestamp}"
             )
         self.last_timestamp = frame.timestamp
-        self.buffer.append(frame)
         self._pos_ring[self._ring_next] = frame.positions()
         self._ori_ring[self._ring_next] = frame.orientations()
         self._ring_next = (self._ring_next + 1) % T_WINDOW
         self._ring_count = min(self._ring_count + 1, T_WINDOW)
         if self._ring_count < T_WINDOW:
-            if self.collect_latency:
-                self.latencies_ms.append((time.perf_counter() - start) * 1e3)
+            self.latencies_ms.append((time.perf_counter() - start) * 1e3)
             return None
 
         order = (np.arange(T_WINDOW) + self._ring_next) % T_WINDOW
         window = features_from_arrays(self._pos_ring[order], self._ori_ring[order])
         probs, state_logits = self.predictor(window)
-        self.last_probs = probs
-        self.last_state_logits = state_logits
-        self.last_swipe_u = swipe_progress(window, state_logits)
-        prev = self.state
-        self.state, fired = fsm_step(prev, probs, self.cfg)
+        self.last_swipe_u = swipe_progress(state_logits)
+        self.state, fired = fsm_step(self.state, probs, self.cfg)
 
         event = None
         if fired is not None:
             confidences = self._streak_confidences + [float(probs[CLASS_NAMES.index(fired.value)])]
-            trace = None
-            if fired is GestureClass.SWIPE:
-                trace = tuple(self._streak_substates + [int(np.argmax(state_logits[-1]))])
             event = GestureEvent(
                 gesture=fired,
                 fired_at=frame.timestamp,
                 mean_confidence=float(np.mean(confidences[-self.cfg.n_consecutive :])),
-                swipe_substate_trace=trace,
             )
             self._streak_confidences = []
-            self._streak_substates = []
         elif self.state.phase is Phase.S2:
             if self.state.consecutive_count == 1:
                 self._streak_confidences = []
-                self._streak_substates = []
             self._streak_confidences.append(float(probs[CLASS_NAMES.index(self.state.candidate.value)]))
-            if self.state.candidate is GestureClass.SWIPE:
-                self._streak_substates.append(int(np.argmax(state_logits[-1])))
         else:
             self._streak_confidences = []
-            self._streak_substates = []
 
-        if self.collect_latency:
-            self.latencies_ms.append((time.perf_counter() - start) * 1e3)
+        self.latencies_ms.append((time.perf_counter() - start) * 1e3)
         return event
 
 

@@ -363,29 +363,6 @@ def assemble_clip_arrays(
     return ts32, pos32, ori32
 
 
-def build_frame(
-    params: PoseParams,
-    timestamp: float,
-    wrist_pos: np.ndarray,
-    wrist_quat: np.ndarray,
-    subject: SubjectParams,
-    rng: np.random.Generator | None = None,
-    handedness: Handedness = Handedness.RIGHT,
-) -> HandFrame:
-    """Assemble a single world-space frame (streaming / test helper)."""
-    track = PoseTrack.constant(params, 1)
-    ts, pos, ori = assemble_clip_arrays(
-        track,
-        np.array([timestamp]),
-        np.asarray(wrist_pos)[None, :],
-        np.asarray(wrist_quat)[None, :],
-        subject,
-        rng,
-    )
-    joints = tuple(JointPose(pos[0, j], ori[0, j]) for j in range(NUM_JOINTS))
-    return HandFrame(float(ts[0]), handedness, joints)
-
-
 # ---------------------------------------------------------------------------
 # Clip generators
 # ---------------------------------------------------------------------------
@@ -443,7 +420,7 @@ def synth_clip(gesture: GestureClass, subject: SubjectParams, seed: int) -> Labe
     track = PoseTrack.blend(rest, target, alphas)
     wrist_pos, wrist_quat = _global_placement(rng, t)
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    sub = _substates_from_arrays(gesture, pos)
+    sub = label_substates(gesture, pos)
     return LabeledClip(gesture, subject.subject_id, ts, pos, ori, sub, STATIC_SECONDS)
 
 
@@ -474,7 +451,7 @@ def _synth_swipe(subject, rng, rest) -> LabeledClip:
     track = PoseTrack(track.curls, track.spread, thumb_u=u, thumb_w=track.thumb_w)
     wrist_pos, wrist_quat = _global_placement(rng, t)
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    sub = _substates_from_arrays(GestureClass.SWIPE, pos)
+    sub = label_substates(GestureClass.SWIPE, pos)
     return LabeledClip(GestureClass.SWIPE, subject.subject_id, ts, pos, ori, sub, SWIPE_SECONDS)
 
 
@@ -524,7 +501,13 @@ def synth_null(subject: SubjectParams, seed: int) -> LabeledClip:
     return LabeledClip(GestureClass.NULL, subject.subject_id, ts, pos, ori, sub, STATIC_SECONDS)
 
 
-def _substates_from_arrays(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:
+def label_substates(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:
+    """Per-frame sub-state labels for joint positions of shape (N, 11, 3).
+
+    Swipe: project the thumb tip onto the IndexTip -> IndexBelowTip segment,
+    clamp the normalized position u to [0, 1] and quantize into four equal
+    half-open bins (u = 1 maps to 3). Every other class labels 4.
+    """
     if gesture is not GestureClass.SWIPE:
         return np.full(len(positions), SubState.NOT_SWIPING, np.uint8)
     seg = positions[:, INDEX_BELOW] - positions[:, INDEX_TIP]
@@ -532,16 +515,6 @@ def _substates_from_arrays(gesture: GestureClass, positions: np.ndarray) -> np.n
     u = np.einsum("nd,nd->n", rel, seg) / np.einsum("nd,nd->n", seg, seg)
     u = np.clip(u, 0.0, 1.0)
     return np.minimum(3, (u * 4.0).astype(np.int64)).astype(np.uint8)
-
-
-def label_substates(clip: LabeledClip) -> np.ndarray:
-    """Per-frame sub-state labels.
-
-    Swipe: project the thumb tip onto the IndexTip -> IndexBelowTip segment,
-    clamp the normalized position u to [0, 1] and quantize into four equal
-    half-open bins (u = 1 maps to 3). Every other class labels 4.
-    """
-    return _substates_from_arrays(clip.gesture, clip.joint_positions)
 
 
 # ---------------------------------------------------------------------------

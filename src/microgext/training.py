@@ -14,6 +14,7 @@ in-memory model bit for bit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +137,8 @@ def validation_loss(params: ModelParams, x_val, yc_val, ys_val, hp: HyperParams)
     total, count = 0.0, 0
     for idx in _batches(len(x_val), hp.batch_size):
         out = network.forward_batch(params, x_val[idx])
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", losses.BatchTooSmallForContrastive)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", losses.BatchTooSmallForContrastive)
             loss, _ = losses.total_loss(
                 out["class_logits"], out["state_logits"], out["embedding"],
                 yc_val[idx], ys_val[idx], hp,

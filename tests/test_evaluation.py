@@ -50,6 +50,12 @@ class TestCommandLog:
         assert [c for _, c in back] == [c for _, c in self.ENTRIES]
         assert [t for t, _ in back] == [t for t, _ in self.ENTRIES]
 
+    def test_header_is_mgl1_independent_of_session_version(self, tmp_path):
+        path = tmp_path / "commands.log"
+        write_command_log(path, self.ENTRIES)
+        assert path.read_text().splitlines()[0] == "MGL1"
+        assert session_io.MGS_VERSION != session_io.MGL_VERSION
+
     def test_byte_exact_golden(self, tmp_path):
         p1, p2 = tmp_path / "a.log", tmp_path / "b.log"
         write_command_log(p1, self.ENTRIES)

@@ -15,19 +15,20 @@ from microgext.interaction import (
     is_thumb_up,
     mode_switch_step,
     roll_to_mode,
-    swipe_delta,
     wrist_roll,
 )
 from microgext.skeleton import Handedness
-from microgext.synth import POSES, GestureClass, SubjectParams, build_frame
+from microgext.synth import POSES, GestureClass, SubjectParams
 from microgext import quat
+
+from .frames import build_frame
 
 CLEAN = SubjectParams(subject_id=0, pose_jitter_std=0.0, rng_seed=0)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def event(gesture, trace=None):
-    return GestureEvent(gesture=gesture, fired_at=1.0, mean_confidence=0.99, swipe_substate_trace=trace)
+def event(gesture):
+    return GestureEvent(gesture=gesture, fired_at=1.0, mean_confidence=0.99)
 
 
 class TestBindEvent:
@@ -46,38 +47,22 @@ class TestBindEvent:
         assert bind_event(event(gesture), EditorContext()).kind is kind
 
     def test_swipe_moves_caret_when_not_armed(self):
-        cmd = bind_event(event(GestureClass.SWIPE, (0, 0, 1)), EditorContext(selection_armed=False))
+        cmd = bind_event(event(GestureClass.SWIPE), EditorContext(selection_armed=False))
         assert cmd.kind is CommandKind.MOVE_CARET
 
     def test_swipe_selects_when_armed(self):
-        cmd = bind_event(event(GestureClass.SWIPE, (0, 0, 1)), EditorContext(selection_armed=True))
+        cmd = bind_event(event(GestureClass.SWIPE), EditorContext(selection_armed=True))
         assert cmd.kind is CommandKind.SELECT_RANGE
 
-    def test_pending_delta_wins(self):
-        ctx = EditorContext(pending_swipe_delta=-2)
-        cmd = bind_event(event(GestureClass.SWIPE, (0, 1, 2)), ctx)
-        assert cmd.delta == -2
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_swipe_is_one_unit_in_the_given_direction(self, armed, direction):
+        cmd = bind_event(event(GestureClass.SWIPE), EditorContext(selection_armed=armed), direction)
+        assert cmd.delta == direction
 
     def test_null_has_no_binding(self):
         with pytest.raises(ValueError):
             bind_event(event(GestureClass.NULL), EditorContext())
-
-
-class TestSwipeDelta:
-    def test_net_positive(self):
-        assert swipe_delta(event(GestureClass.SWIPE, (0, 0, 1, 1, 2))) == 2
-
-    def test_net_negative(self):
-        assert swipe_delta(event(GestureClass.SWIPE, (3, 2, 2, 1))) == -2
-
-    def test_constant_trace_defaults_forward(self):
-        assert swipe_delta(event(GestureClass.SWIPE, (1, 1, 1))) == 1
-
-    def test_ignores_not_swiping_markers(self):
-        assert swipe_delta(event(GestureClass.SWIPE, (4, 0, 4, 1))) == 1
-
-    def test_missing_trace(self):
-        assert swipe_delta(event(GestureClass.SWIPE, None)) == 1
 
 
 def frames_with_contact(n_contact, n_total, rate=72.0):

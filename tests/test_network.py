@@ -9,7 +9,6 @@ from microgext.network import (
     ModelParams,
     NonFiniteActivation,
     ShapeMismatch,
-    forward,
     forward_batch,
     init_params,
 )
@@ -25,47 +24,53 @@ def params(hp):
     return init_params(hp, seed=1)
 
 
+def forward_one(params, window):
+    """Outputs for a single (T, J, D) window, batch axis dropped."""
+    return {k: v[0] for k, v in forward_batch(params, window[None]).items()}
+
+
 class TestForward:
     def test_zero_input_shapes_and_normalization(self, params, hp):
-        out = forward(params, np.zeros((hp.t_window, hp.n_joints, hp.n_features)))
-        assert out.class_logits.shape == (8,)
-        assert out.state_logits.shape == (20, 5)
-        assert out.embedding.shape == (hp.hidden,)
-        assert abs(out.class_probs.sum() - 1.0) < 1e-6
-        assert abs(np.linalg.norm(out.embedding) - 1.0) < 1e-9
+        out = forward_one(params, np.zeros((hp.t_window, hp.n_joints, hp.n_features)))
+        assert out["class_logits"].shape == (8,)
+        assert out["class_probs"].shape == (8,)
+        assert out["state_logits"].shape == (20, 5)
+        assert out["embedding"].shape == (hp.hidden,)
+        assert abs(out["class_probs"].sum() - 1.0) < 1e-6
+        assert abs(np.linalg.norm(out["embedding"]) - 1.0) < 1e-9
 
     def test_probs_sum_to_one_random(self, params, hp):
         rng = np.random.default_rng(0)
         x = rng.normal(0, 0.2, (hp.t_window, hp.n_joints, hp.n_features))
-        out = forward(params, x)
-        assert abs(out.class_probs.sum() - 1.0) < 1e-6
+        out = forward_one(params, x)
+        assert abs(out["class_probs"].sum() - 1.0) < 1e-6
 
     def test_temperature_keeps_argmax_changes_confidence(self, params, hp):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 0.2, (hp.t_window, hp.n_joints, hp.n_features))
-        out1 = forward(params, x)
-        out2 = forward(params.with_tau(2.0), x)
-        assert np.argmax(out1.class_probs) == np.argmax(out2.class_probs)
-        assert not np.isclose(out1.class_probs.max(), out2.class_probs.max())
-        np.testing.assert_allclose(out1.class_logits, out2.class_logits)
+        out1 = forward_one(params, x)
+        out2 = forward_one(params.with_tau(2.0), x)
+        assert np.argmax(out1["class_probs"]) == np.argmax(out2["class_probs"])
+        assert not np.isclose(out1["class_probs"].max(), out2["class_probs"].max())
+        np.testing.assert_allclose(out1["class_logits"], out2["class_logits"])
 
     def test_argmax_probs_equals_argmax_logits(self, params, hp):
         rng = np.random.default_rng(2)
         for tau in (0.1, 1.0, 5.0):
             p = params.with_tau(tau)
             x = rng.normal(0, 0.3, (hp.t_window, hp.n_joints, hp.n_features))
-            out = forward(p, x)
-            assert np.argmax(out.class_probs) == np.argmax(out.class_logits)
+            out = forward_one(p, x)
+            assert np.argmax(out["class_probs"]) == np.argmax(out["class_logits"])
 
     def test_shape_mismatch(self, params):
         with pytest.raises(ShapeMismatch):
-            forward(params, np.zeros((19, 11, 7)))
+            forward_batch(params, np.zeros((1, 19, 11, 7)))
 
     def test_non_finite_input(self, params, hp):
         x = np.zeros((hp.t_window, hp.n_joints, hp.n_features))
         x[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteActivation):
-            forward(params, x)
+            forward_batch(params, x[None])
 
     def test_batch_order_irrelevant_per_sample(self, params, hp):
         rng = np.random.default_rng(3)

@@ -9,9 +9,12 @@ from click.testing import CliRunner
 from microgext import session_io
 from microgext.cli import main
 from microgext.editor import CommandKind, Granularity
+from microgext.fsm import GestureEvent
 from microgext.scenario import (
     Scenario,
     ScenarioStep,
+    UnknownScenarioKey,
+    _SwipeEpisode,
     compile_scenario,
     default_scenario,
     load_scenario,
@@ -67,19 +70,57 @@ class TestScenarioCompile:
         assert expected[0].kind is CommandKind.MOVE_CARET
         assert expected[0].delta == -1  # one unit per fired swipe, backward
 
-    def test_expected_swipe_delta_crossings_mode(self):
-        sc = Scenario(
-            initial_text="abc",
-            swipe_unit_mode="crossings",
-            steps=(ScenarioStep(kind="swipe", u_from=0.05, u_to=0.8),),
-        )
-        _, expected = compile_scenario(sc)
-        assert expected[0].delta == 3  # bins 0 -> 3
+    def test_script_with_retired_swipe_unit_mode_rejected(self, tmp_path):
+        raw = scenario_to_dict(default_scenario())
+        raw["swipe_unit_mode"] = "crossings"
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(UnknownScenarioKey, match="swipe_unit_mode"):
+            load_scenario(path)
+
+    def test_unknown_step_key_rejected(self, tmp_path):
+        raw = scenario_to_dict(default_scenario())
+        raw["steps"][1]["magnitude"] = 3
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(UnknownScenarioKey, match="magnitude"):
+            load_scenario(path)
 
     def test_unknown_step_kind_rejected(self):
         sc = Scenario(initial_text="", steps=(ScenarioStep(kind="dance"),))
         with pytest.raises(ValueError):
             compile_scenario(sc)
+
+
+class TestSwipeEpisode:
+    def episode(self):
+        return _SwipeEpisode(GestureEvent(GestureClass.SWIPE, fired_at=1.0, mean_confidence=0.99))
+
+    def test_falling_progress_points_backward(self):
+        ep = self.episode()
+        for u in (0.9, 0.7, 0.75, 0.4, 0.2):
+            ep.observe(u)
+        assert ep.direction() == -1
+
+    @pytest.mark.parametrize("samples", [(), (0.8,)])
+    def test_fewer_than_two_samples_default_forward(self, samples):
+        ep = self.episode()
+        for u in samples:
+            ep.observe(u)
+        assert ep.direction() == 1
+
+    def test_ends_after_consecutive_misses(self):
+        ep = self.episode()
+        ep.observe(0.5)
+        ends = [ep.observe(None) for _ in range(_SwipeEpisode.END_AFTER_MISSES)]
+        assert ends == [False] * (_SwipeEpisode.END_AFTER_MISSES - 1) + [True]
+
+    def test_a_sample_resets_the_miss_count(self):
+        ep = self.episode()
+        for _ in range(_SwipeEpisode.END_AFTER_MISSES - 1):
+            assert ep.observe(None) is False
+        assert ep.observe(0.5) is False
+        assert ep.observe(None) is False
 
 
 class TestRunSessionWithStub:

@@ -21,6 +21,7 @@ from microgext.session_io import (
     write_dataset,
     write_session,
 )
+from microgext.skeleton import JOINT_NAMES
 from microgext.synth import GestureClass, clips_equal
 
 
@@ -132,7 +133,7 @@ class TestSession:
         frames = list(clip.frames[:40])
         events = [
             GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99),
-            GestureEvent(GestureClass.SWIPE, fired_at=1.0, mean_confidence=0.97, swipe_substate_trace=(0, 1, 1)),
+            GestureEvent(GestureClass.SWIPE, fired_at=1.0, mean_confidence=0.97),
         ]
         path = tmp_path / "s.mgs"
         write_session(path, frames, events)
@@ -143,8 +144,34 @@ class TestSession:
             assert a.handedness is b.handedness
             np.testing.assert_array_equal(a.positions(), b.positions())
             np.testing.assert_array_equal(a.orientations(), b.orientations())
-        assert back_events[0].gesture is GestureClass.FIST
-        assert back_events[1].swipe_substate_trace == (0, 1, 1)
+        assert [e.gesture for e in back_events] == [GestureClass.FIST, GestureClass.SWIPE]
+
+    def test_v2_events_round_trip(self, tmp_path):
+        # float32-exact values, so the text rendering loses nothing
+        events = [
+            GestureEvent(GestureClass.SWIPE, fired_at=2.5, mean_confidence=0.75),
+            GestureEvent(GestureClass.PINKY, fired_at=3.125, mean_confidence=1.0),
+        ]
+        path = tmp_path / "s.mgs"
+        write_session(path, [], events)
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("MGS2 ")
+        assert lines[1:] == ["E 2.5 Swipe 0.75", "E 3.125 Pinky 1.0"]
+        assert read_session(path) == ([], events)
+
+    def test_v1_file_rejected(self, tmp_path):
+        path = tmp_path / "s.mgs"
+        path.write_text("MGS1 joints=" + ",".join(JOINT_NAMES) + "\nE 1.0 Swipe 0.97 0,1,1\n")
+        with pytest.raises(VersionMismatch):
+            read_session(path)
+
+    def test_event_with_trace_column_rejected(self, tmp_path):
+        path = tmp_path / "s.mgs"
+        write_session(path, [], [])
+        with open(path, "a") as fh:
+            fh.write("E 1.0 Swipe 0.97 0,1,1\n")
+        with pytest.raises(CorruptRecord):
+            read_session(path)
 
     def test_corrupt_line_rejected(self, tmp_path):
         path = tmp_path / "s.mgs"

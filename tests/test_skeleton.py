@@ -1,4 +1,4 @@
-"""Feature extraction, mirroring, and resampling against geometric oracles."""
+"""Skeleton types and wrist-relative feature extraction against geometric oracles."""
 
 import numpy as np
 import pytest
@@ -9,43 +9,36 @@ from microgext.skeleton import (
     JOINT_NAMES,
     NUM_JOINTS,
     T_WINDOW,
-    AlreadyRight,
-    FeatureWindow,
     HandFrame,
     Handedness,
     JointPose,
-    MixedHandedness,
-    NonMonotoneTimestamps,
-    NonPositiveRate,
-    TooFewFrames,
-    WrongFrameCount,
-    extract_features,
-    frame_features,
-    mirror_to_right,
-    resample_clip,
+    features_from_arrays,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def make_frame(t=0.0, hand=Handedness.RIGHT, wrist_pos=(0, 0, 0), wrist_quat=IDENTITY, offsets=None):
-    """Frame with joints placed at wrist + per-joint offsets (identity quats)."""
-    if offsets is None:
-        offsets = [(0.01 * j, 0.002 * j, 0.005 * j) for j in range(NUM_JOINTS)]
-    joints = []
-    for j in range(NUM_JOINTS):
-        pos = np.asarray(wrist_pos, dtype=float) + np.asarray(offsets[j], dtype=float)
-        joints.append(JointPose(pos, wrist_quat))
-    return HandFrame(t, hand, tuple(joints))
+def make_frame(offsets):
+    """Right-hand frame with the wrist at the origin, joints at the given
+    offsets, and identity orientations."""
+    joints = tuple(JointPose(np.asarray(o, dtype=float), IDENTITY) for o in offsets)
+    return HandFrame(0.0, Handedness.RIGHT, joints)
 
 
-def random_frame(rng, t=0.0, hand=Handedness.RIGHT):
+def featurize(frames):
+    """Features of a frame sequence, shape (len(frames), J, 7)."""
+    return features_from_arrays(
+        np.stack([f.positions() for f in frames]), np.stack([f.orientations() for f in frames])
+    )
+
+
+def random_frame(rng, t):
     joints = []
     for _ in range(NUM_JOINTS):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         joints.append(JointPose(rng.normal(0, 0.1, 3), q))
-    return HandFrame(t, hand, tuple(joints))
+    return HandFrame(t, Handedness.RIGHT, tuple(joints))
 
 
 class TestTypes:
@@ -66,30 +59,26 @@ class TestTypes:
         assert JOINT_NAMES[0] == "Wrist"
         assert len(JOINT_NAMES) == 11
 
-    def test_feature_window_shape_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureWindow(np.zeros((19, 11, 7)))
-
 
 class TestExtractFeatures:
     def test_identity_wrist_passthrough(self):
         # wrist at origin, identity orientation; IndexTip at (0.05, 0, 0)
         offsets = [(0, 0, 0)] * NUM_JOINTS
         offsets[INDEX_TIP] = (0.05, 0.0, 0.0)
-        frame = make_frame(offsets=offsets)
-        row = frame_features(frame)[INDEX_TIP]
+        frame = make_frame(offsets)
+        row = featurize([frame])[0, INDEX_TIP]
         np.testing.assert_allclose(row, [0.05, 0, 0, 1, 0, 0, 0], atol=1e-12)
 
     def test_joint_coincident_with_wrist(self):
-        frame = make_frame(offsets=[(0, 0, 0)] * NUM_JOINTS)
-        feats = frame_features(frame)
+        frame = make_frame([(0, 0, 0)] * NUM_JOINTS)
+        feats = featurize([frame])[0]
         for j in range(NUM_JOINTS):
             np.testing.assert_allclose(feats[j], [0, 0, 0, 1, 0, 0, 0], atol=1e-12)
 
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(42)
         frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        base = extract_features(frames)
+        base = featurize(frames)
 
         # oracle: apply one random rigid transform to every joint of every
         # frame, then re-extract
@@ -103,149 +92,24 @@ class TestExtractFeatures:
                 for j in f.joints
             )
             moved.append(HandFrame(f.timestamp, f.handedness, joints))
-        transformed = extract_features(moved)
-        np.testing.assert_allclose(transformed.data, base.data, atol=1e-6)
+        transformed = featurize(moved)
+        np.testing.assert_allclose(transformed, base, atol=1e-6)
 
     def test_wrist_row_constant(self):
         rng = np.random.default_rng(3)
         frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        fw = extract_features(frames)
-        np.testing.assert_array_equal(fw.data[:, 0, :], np.tile([0, 0, 0, 1, 0, 0, 0], (T_WINDOW, 1)))
+        fw = featurize(frames)
+        np.testing.assert_array_equal(fw[:, 0, :], np.tile([0, 0, 0, 1, 0, 0, 0], (T_WINDOW, 1)))
 
     def test_quaternion_rows_unit_norm(self):
         rng = np.random.default_rng(4)
         frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        fw = extract_features(frames)
-        norms = np.linalg.norm(fw.data[:, :, 3:], axis=-1)
+        fw = featurize(frames)
+        norms = np.linalg.norm(fw[:, :, 3:], axis=-1)
         assert np.all(np.abs(norms - 1.0) < 1e-5)
 
     def test_quaternion_sign_canonical(self):
         rng = np.random.default_rng(5)
         frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        fw = extract_features(frames)
-        assert np.all(fw.data[:, :, 3] >= 0.0)
-
-    def test_wrong_frame_count(self):
-        rng = np.random.default_rng(0)
-        frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW - 1)]
-        with pytest.raises(WrongFrameCount):
-            extract_features(frames)
-
-    def test_mixed_handedness(self):
-        rng = np.random.default_rng(0)
-        frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        frames[5] = random_frame(rng, t=5 / 72, hand=Handedness.LEFT)
-        with pytest.raises(MixedHandedness):
-            extract_features(frames)
-
-    def test_non_monotone_timestamps(self):
-        rng = np.random.default_rng(0)
-        frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
-        frames[7] = random_frame(rng, t=frames[6].timestamp)
-        with pytest.raises(NonMonotoneTimestamps):
-            extract_features(frames)
-
-
-class TestMirror:
-    def test_requires_left_hand(self):
-        with pytest.raises(AlreadyRight):
-            mirror_to_right(make_frame())
-
-    def test_involution(self):
-        rng = np.random.default_rng(7)
-        frame = random_frame(rng, hand=Handedness.LEFT)
-        once = mirror_to_right(frame)
-        twice = mirror_to_right(HandFrame(once.timestamp, Handedness.LEFT, once.joints))
-        np.testing.assert_allclose(twice.positions(), frame.positions(), atol=1e-9)
-        # quaternions may only differ by global sign per joint
-        q0, q1 = frame.orientations(), twice.orientations()
-        assert np.all(
-            (np.abs(q0 - q1) < 1e-9).all(axis=1) | (np.abs(q0 + q1) < 1e-9).all(axis=1)
-        )
-
-    def test_reflection_of_wrist_relative_x(self):
-        offsets = [(0, 0, 0)] * NUM_JOINTS
-        offsets[INDEX_TIP] = (0.05, 0.01, 0.02)
-        frame = make_frame(hand=Handedness.LEFT, offsets=offsets)
-        mirrored = mirror_to_right(frame)
-        np.testing.assert_allclose(
-            mirrored.joints[INDEX_TIP].position, [-0.05, 0.01, 0.02], atol=1e-12
-        )
-        assert mirrored.handedness is Handedness.RIGHT
-
-    def test_distances_preserved(self):
-        rng = np.random.default_rng(9)
-        frame = random_frame(rng, hand=Handedness.LEFT)
-        mirrored = mirror_to_right(frame)
-        p0, p1 = frame.positions(), mirrored.positions()
-        d0 = np.linalg.norm(p0[:, None] - p0[None, :], axis=-1)
-        d1 = np.linalg.norm(p1[:, None] - p1[None, :], axis=-1)
-        np.testing.assert_allclose(d1, d0, atol=1e-9)
-
-
-class TestResample:
-    def test_identity_at_same_rate(self):
-        rng = np.random.default_rng(13)
-        frames = [random_frame(rng, t=i / 72.0) for i in range(30)]
-        out = resample_clip(frames, 72.0)
-        assert len(out) == len(frames)
-        for a, b in zip(out, frames):
-            assert abs(a.timestamp - b.timestamp) < 1e-9
-            np.testing.assert_allclose(a.positions(), b.positions(), atol=1e-9)
-            np.testing.assert_allclose(a.orientations(), b.orientations(), atol=1e-9)
-
-    def test_two_frames_downsampled(self):
-        rng = np.random.default_rng(1)
-        f0 = random_frame(rng, t=0.0)
-        f1 = random_frame(rng, t=1.0)
-        out = resample_clip([f0, f1], 3.0)
-        assert [round(f.timestamp, 6) for f in out] == [0.0, round(1 / 3, 6), round(2 / 3, 6), 1.0]
-        # endpoints exact
-        np.testing.assert_allclose(out[0].positions(), f0.positions(), atol=1e-12)
-        np.testing.assert_allclose(out[-1].positions(), f1.positions(), atol=1e-9)
-        # interior points linearly interpolated
-        np.testing.assert_allclose(
-            out[1].positions(), f0.positions() + (f1.positions() - f0.positions()) / 3, atol=1e-9
-        )
-
-    def test_dense_trajectory_oracle(self):
-        # a 144 Hz sinusoidal thumb trajectory downsampled to 72 Hz must
-        # match the directly sampled dense trajectory
-        def traj(t):
-            return np.array([0.05 * np.sin(2 * np.pi * t), 0.02 * t, 0.01])
-
-        frames = []
-        for i in range(60):
-            t = i / 144.0
-            offsets = [(0, 0, 0)] * NUM_JOINTS
-            offsets[1] = tuple(traj(t))
-            frames.append(make_frame(t=t, offsets=offsets))
-        out = resample_clip(frames, 72.0)
-        for f in out:
-            expected = traj(f.timestamp)
-            np.testing.assert_allclose(f.joints[1].position, expected, atol=1e-3)
-
-    def test_slerp_against_dense_rotation(self):
-        # rotation at constant angular velocity: slerp reproduces it exactly
-        axis = np.array([0.0, 1.0, 0.0])
-        frames = []
-        for i in range(20):
-            t = i / 144.0
-            q = quat.from_axis_angle(axis, 2.0 * t)
-            joints = tuple(JointPose(np.zeros(3), q) for _ in range(NUM_JOINTS))
-            frames.append(HandFrame(t, Handedness.RIGHT, joints))
-        out = resample_clip(frames, 100.0)
-        for f in out:
-            expected = quat.from_axis_angle(axis, 2.0 * f.timestamp)
-            assert min(
-                np.abs(f.joints[0].orientation - expected).max(),
-                np.abs(f.joints[0].orientation + expected).max(),
-            ) < 1e-9
-
-    def test_too_few_frames(self):
-        with pytest.raises(TooFewFrames):
-            resample_clip([make_frame()], 72.0)
-
-    def test_non_positive_rate(self):
-        with pytest.raises(NonPositiveRate):
-            resample_clip([make_frame(0.0), make_frame(0.1)], 0.0)
+        fw = featurize(frames)
+        assert np.all(fw[:, :, 3] >= 0.0)

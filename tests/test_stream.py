@@ -7,7 +7,9 @@ from microgext import synth
 from microgext.fsm import FsmConfig
 from microgext.skeleton import T_WINDOW, Handedness, MixedHandedness
 from microgext.stream import OutOfOrderFrame, StreamRuntime, latency_percentiles, swipe_progress
-from microgext.synth import POSES, GestureClass, SubjectParams, build_frame
+from microgext.synth import POSES, GestureClass, SubjectParams
+
+from .frames import build_frame
 
 CLEAN = SubjectParams(subject_id=0, pose_jitter_std=0.0, rng_seed=0)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -62,10 +64,16 @@ class TestPushFrame:
         assert events.index(fired[0]) == (T_WINDOW - 1) + (rt.cfg.n_consecutive - 1)
 
     def test_ring_buffer_capped(self):
-        rt = StreamRuntime(stub_predictor(lambda: confident(GestureClass.NULL)))
+        shapes = []
+
+        def predict(window):
+            shapes.append(window.shape)
+            return confident(GestureClass.NULL), np.zeros((T_WINDOW, 5))
+
+        rt = StreamRuntime(predict)
         for frame in pose_frames("rest", 50):
             rt.push_frame(frame)
-        assert len(rt.buffer) == T_WINDOW
+        assert shapes == [(T_WINDOW, 11, 7)] * (50 - T_WINDOW + 1)
 
     def test_out_of_order_rejected(self):
         rt = StreamRuntime(stub_predictor(lambda: confident(GestureClass.NULL)))
@@ -98,28 +106,25 @@ class TestPushFrame:
 
 
 class TestSwipeProgress:
-    def window(self):
-        return np.zeros((T_WINDOW, 11, 7))
-
     def logits_for(self, probs):
         logits = np.zeros((T_WINDOW, 5))
         logits[-1] = np.log(np.asarray(probs) + 1e-12)
         return logits
 
     def test_state_zero(self):
-        u = swipe_progress(self.window(), self.logits_for([1, 0, 0, 0, 0]))
+        u = swipe_progress(self.logits_for([1, 0, 0, 0, 0]))
         assert u == pytest.approx(0.0, abs=1e-9)
 
     def test_state_three(self):
-        u = swipe_progress(self.window(), self.logits_for([0, 0, 0, 1, 0]))
+        u = swipe_progress(self.logits_for([0, 0, 0, 1, 0]))
         assert u == pytest.approx(1.0, abs=1e-9)
 
     def test_expectation_mixture(self):
-        u = swipe_progress(self.window(), self.logits_for([0.5, 0.5, 0, 0, 0]))
+        u = swipe_progress(self.logits_for([0.5, 0.5, 0, 0, 0]))
         assert u == pytest.approx(1.0 / 6.0)
 
     def test_not_swiping_returns_none(self):
-        assert swipe_progress(self.window(), self.logits_for([0.1, 0.1, 0.1, 0.1, 0.6])) is None
+        assert swipe_progress(self.logits_for([0.1, 0.1, 0.1, 0.1, 0.6])) is None
 
 
 class TestLatency:

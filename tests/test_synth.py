@@ -12,7 +12,6 @@ from microgext.synth import (
     STATIC_FRAMES,
     SWIPE_FRAMES,
     GestureClass,
-    LabeledClip,
     NullNotSupportedHere,
     SubjectParams,
     SubState,
@@ -127,7 +126,7 @@ class TestPoseGeometry:
 class TestSubStateLabels:
     def test_non_swipe_all_four(self, subject):
         clip = synth_clip(GestureClass.RING, subject, seed=5)
-        assert np.all(label_substates(clip) == 4)
+        assert np.all(label_substates(clip.gesture, clip.joint_positions) == 4)
 
     def test_bin_endpoints(self):
         # u = 0 -> state 0, u = 1 -> state 3, half-open bins in between
@@ -140,15 +139,10 @@ class TestSubStateLabels:
         clean = SubjectParams(subject_id=0, pose_jitter_std=0.0, rng_seed=0)
         clip = synth_clip(GestureClass.SWIPE, clean, seed=6)
         pos = np.array(clip.joint_positions, copy=True)
-        n = len(pos)
         u = np.concatenate([np.linspace(0, 1, 180), np.linspace(1, 0, 180)])
         seg = pos[:, INDEX_BELOW] - pos[:, INDEX_TIP]
         pos[:, THUMB_TIP] = pos[:, INDEX_TIP] + u[:, None] * seg
-        ideal = LabeledClip(
-            GestureClass.SWIPE, 0, clip.timestamps, pos, clip.joint_orientations,
-            np.zeros(n, np.uint8), clip.duration,
-        )
-        labels = label_substates(ideal).astype(int)
+        labels = label_substates(GestureClass.SWIPE, pos).astype(int)
         assert np.all(np.diff(labels[:180]) >= 0)
         assert np.all(np.diff(labels[180:]) <= 0)
         assert labels[0] == 0 and labels[179] == 3
