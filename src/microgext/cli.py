@@ -10,7 +10,7 @@ Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
 separate timing file. A --config JSON file can override any hyperparameter
 or FSM field and is echoed into the output directory. Exit codes: 0 ok,
-1 failed run assertion, 2 usage error. MICROGEXT_THREADS caps parallelism.
+1 failed run assertion, 2 usage error.
 """
 
 from __future__ import annotations

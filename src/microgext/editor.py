@@ -226,7 +226,7 @@ def move_caret(doc: Document, delta: int, granularity: Granularity | None = None
     return replace(doc, caret=caret, selection=None)
 
 
-def _step_selection_head(territories, pos: int, direction: int, text_len: int) -> int:
+def _step_selection_head(territories, pos: int, direction: int) -> int:
     """Move a selection head one unit: forward lands on the next content
     end, backward on the previous unit start."""
     if direction > 0:
@@ -245,13 +245,12 @@ def select_range(doc: Document, delta: int) -> Document:
     last touched unit, so trailing separator whitespace is never selected.
     """
     territories = _territories(doc.text, doc.granularity)
-    n = len(doc.text)
     if doc.selection is None:
         anchor = head = doc.caret
     else:
         anchor, head = doc.selection
     for _ in range(abs(delta)):
-        head = _step_selection_head(territories, head, 1 if delta > 0 else -1, n)
+        head = _step_selection_head(territories, head, 1 if delta > 0 else -1)
     if head == anchor:
         return replace(doc, selection=None, caret=head)
 

@@ -13,11 +13,13 @@ wrist roll sweeps a highlight across the four modes (45 degree sectors over
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from . import quat
 from .editor import CommandKind, EditCommand, Granularity
 from .fsm import GestureEvent
 from .skeleton import (
@@ -79,7 +81,7 @@ def bind_event(event: GestureEvent, ctx: EditorContext, direction: int = 1) -> E
 # Pinch hold
 # ---------------------------------------------------------------------------
 
-def detect_pinch_hold(frames: list[HandFrame]) -> bool:
+def detect_pinch_hold(frames: Sequence[HandFrame]) -> bool:
     """True iff thumb and index tips are in continuous contact (< 1.5 cm)
     over the trailing run of frames spanning at least 2 seconds.
 
@@ -90,10 +92,8 @@ def detect_pinch_hold(frames: list[HandFrame]) -> bool:
     if len(frames) < 2:
         return False
     ts = np.array([f.timestamp for f in frames])
-    dist = np.array(
-        [np.linalg.norm(f.joints[THUMB_TIP].position - f.joints[INDEX_TIP].position) for f in frames]
-    )
-    contact = dist < PINCH_CONTACT_M
+    pos = np.stack([f.positions for f in frames])
+    contact = np.linalg.norm(pos[:, THUMB_TIP] - pos[:, INDEX_TIP], axis=1) < PINCH_CONTACT_M
     if not contact[-1]:
         return False
     run_start = len(frames) - 1
@@ -125,10 +125,8 @@ class ModeSwitchState:
 
 
 def _tip_wrist_distances(frame: HandFrame) -> np.ndarray:
-    wrist = frame.joints[WRIST].position
-    return np.array(
-        [np.linalg.norm(frame.joints[j].position - wrist) for j in (THUMB_TIP, INDEX_TIP, MIDDLE_TIP, RING_TIP, PINKY_TIP)]
-    )
+    pos = frame.positions
+    return np.linalg.norm(pos[[THUMB_TIP, INDEX_TIP, MIDDLE_TIP, RING_TIP, PINKY_TIP]] - pos[WRIST], axis=1)
 
 
 def is_thumb_up(frame: HandFrame) -> bool:
@@ -144,9 +142,7 @@ def is_spread_fingers(frame: HandFrame) -> bool:
 def wrist_roll(frame: HandFrame) -> float:
     """Signed roll in radians: the hand's lateral axis measured against the
     world x axis in the xy plane (forearm assumed roughly along world z)."""
-    from . import quat
-
-    x_axis = quat.rotate(frame.joints[WRIST].orientation, np.array([1.0, 0.0, 0.0]))
+    x_axis = quat.rotate(frame.orientations[WRIST], np.array([1.0, 0.0, 0.0]))
     return float(np.arctan2(x_axis[1], x_axis[0]))
 
 

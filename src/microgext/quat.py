@@ -9,17 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def normalize(q: np.ndarray) -> np.ndarray:
-    """Scale to unit norm. Raises on zero or non-finite input."""
-    q = np.asarray(q, dtype=np.float64)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(q)) or np.any(n < 1e-12):
-        raise ValueError("cannot normalize a zero or non-finite quaternion")
-    return q / n
-
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b, broadcasting over leading axes."""
@@ -62,26 +51,6 @@ def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = axis / np.linalg.norm(axis)
     half = 0.5 * angle
     return np.concatenate([[np.cos(half)], np.sin(half) * axis])
-
-
-def slerp(q0: np.ndarray, q1: np.ndarray, t: float) -> np.ndarray:
-    """Spherical linear interpolation between two unit quaternions.
-
-    Takes the short arc (flips sign when the dot product is negative) and
-    falls back to normalized lerp for nearly parallel inputs.
-    """
-    q0 = np.asarray(q0, dtype=np.float64)
-    q1 = np.asarray(q1, dtype=np.float64)
-    dot = float(np.dot(q0, q1))
-    if dot < 0.0:
-        q1 = -q1
-        dot = -dot
-    if dot > 1.0 - 1e-10:
-        out = q0 + t * (q1 - q0)
-        return out / np.linalg.norm(out)
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.sin(theta)
-    return (np.sin((1.0 - t) * theta) * q0 + np.sin(t * theta) * q1) / s
 
 
 def sign_normalize(q: np.ndarray) -> np.ndarray:

@@ -17,12 +17,13 @@ the document in timestamp order.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import quat
-from .editor import Document, EditCommand, Granularity
+from .editor import Document, EditCommand, EditError, Granularity
 from .editor import apply as apply_command
 from .fsm import FsmConfig, GestureEvent
 from .interaction import (
@@ -34,7 +35,7 @@ from .interaction import (
     mode_switch_step,
 )
 from .skeleton import HandFrame, Handedness
-from .stream import StreamRuntime, latency_percentiles
+from .stream import StreamRuntime, inference_thread_cap, latency_percentiles
 from .synth import (
     FRAME_RATE,
     POSES,
@@ -244,13 +245,7 @@ def _assemble(sc: Scenario, tracks, left_segments, expected):
     base_q = quat.from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
     wrist_quat = np.tile(base_q, (n, 1))
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-
-    from .skeleton import NUM_JOINTS, JointPose
-
-    right = [
-        HandFrame(float(ts[i]), Handedness.RIGHT, tuple(JointPose(pos[i, j], ori[i, j]) for j in range(NUM_JOINTS)))
-        for i in range(n)
-    ]
+    right = [HandFrame(float(ts[i]), Handedness.RIGHT, pos[i], ori[i]) for i in range(n)]
 
     left: list[HandFrame] = []
     lrng = np.random.Generator(np.random.PCG64(stable_hash(sc.seed, "scenario-left")))
@@ -263,10 +258,7 @@ def _assemble(sc: Scenario, tracks, left_segments, expected):
         lq = np.stack([quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), r) for r in rolls])
         lpos = np.tile(_LEFT_BASE, (len(lt), 1))
         lts, lp, lo = assemble_clip_arrays(ltrack, lt, lpos, lq, subject, lrng)
-        left.extend(
-            HandFrame(float(lts[i]), Handedness.LEFT, tuple(JointPose(lp[i, j], lo[i, j]) for j in range(NUM_JOINTS)))
-            for i in range(len(lt))
-        )
+        left.extend(HandFrame(float(lts[i]), Handedness.LEFT, lp[i], lo[i]) for i in range(len(lt)))
 
     frames = sorted(right + left, key=lambda f: f.timestamp)
     return frames, expected
@@ -338,14 +330,12 @@ def run_session(
     swipe events open an episode whose command is emitted once the thumb
     leaves the index rail.
     """
-    from .stream import inference_thread_cap
-
     runtime = StreamRuntime(predictor, cfg)
     ctx = ctx or EditorContext()
     mode_state = ModeSwitchState()
     doc = Document.create(initial_text, granularity)
     result = SessionResult()
-    recent_right: list[HandFrame] = []
+    recent_right: deque[HandFrame] = deque(maxlen=int(FRAME_RATE * 2.5))
     armed_at_release = False
     episode: _SwipeEpisode | None = None
     now = frames[0].timestamp if frames else 0.0
@@ -370,8 +360,6 @@ def run_session(
 
             result.right_frames += 1
             recent_right.append(frame)
-            if len(recent_right) > int(FRAME_RATE * 2.5):
-                recent_right.pop(0)
             pinching_now = detect_pinch_hold(recent_right)
             if pinching_now and not armed_at_release:
                 ctx.selection_armed = True
@@ -398,8 +386,6 @@ def run_session(
 
 
 def _apply(doc: Document, command: EditCommand, result: SessionResult, timestamp: float) -> Document:
-    from .editor import EditError
-
     result.commands.append(command)
     result.command_times.append(timestamp)
     try:

@@ -18,10 +18,11 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .editor import CommandKind, EditCommand, Granularity
 from .evaluation import EvalReport, render_report
 from .fsm import GestureEvent
 from .network import HyperParams, ModelParams, ShapeMismatch, param_shapes
-from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness, JointPose
+from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness
 from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip
 
 MGD_MAGIC = b"MGD1"
@@ -114,6 +115,10 @@ def read_dataset(path) -> Dataset:
             try:
                 head = fh.read(struct.calcsize("<iBBIf"))
                 subject_id, gesture_idx, hand, n, duration = struct.unpack("<iBBIf", head)
+                if gesture_idx >= len(CLASS_NAMES):
+                    raise CorruptRecord(f"clip record {index} has class index {gesture_idx}")
+                if hand not in (0, 1):
+                    raise CorruptRecord(f"clip record {index} has hand byte {hand}")
                 ts = np.frombuffer(fh.read(4 * n), dtype="<f4").astype(np.float64)
                 pos = np.frombuffer(fh.read(4 * n * NUM_JOINTS * 3), dtype="<f4")
                 ori = np.frombuffer(fh.read(4 * n * NUM_JOINTS * 4), dtype="<f4")
@@ -205,6 +210,8 @@ def load_checkpoint(path) -> ModelParams:
         shape = struct.unpack_from(f"<{ndim}I", payload, offset)
         offset += 4 * ndim
         count = int(np.prod(shape)) if ndim else 1
+        if offset + 4 * count > len(payload):
+            raise CorruptRecord(f"tensor {name} is truncated")
         data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
         if name not in shapes or tuple(shape) != shapes[name]:
@@ -230,7 +237,7 @@ def write_session(path, frames: list[HandFrame], events: list[GestureEvent]) -> 
         fh.write(f"MGS{MGS_VERSION} joints={','.join(JOINT_NAMES)}\n")
         for frame in frames:
             hand = "R" if frame.handedness is Handedness.RIGHT else "L"
-            pose = np.concatenate([np.concatenate([j.position, j.orientation]) for j in frame.joints])
+            pose = np.concatenate([frame.positions, frame.orientations], axis=1)
             fh.write(f"F {repr(float(np.float32(frame.timestamp)))} {hand} {_f32s(pose)}\n")
         for ev in events:
             fh.write(
@@ -261,8 +268,7 @@ def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
                     if vals.size != NUM_JOINTS * 7:
                         raise CorruptRecord(f"frame record at line {lineno} has {vals.size} floats")
                     pose = vals.reshape(NUM_JOINTS, 7)
-                    joints = tuple(JointPose(pose[j, :3], pose[j, 3:]) for j in range(NUM_JOINTS))
-                    frames.append(HandFrame(ts, hand, joints))
+                    frames.append(HandFrame(ts, hand, pose[:, :3], pose[:, 3:]))
                 elif parts[0] == "E":
                     if len(parts) != 4:
                         raise CorruptRecord(f"event record at line {lineno} has {len(parts)} fields, not 4")
@@ -290,8 +296,6 @@ def write_command_log(path, entries) -> None:
     Deterministic byte-for-byte, so golden-file comparisons are exact;
     read_command_log replays to the identical command sequence.
     """
-    from .editor import CommandKind, Granularity  # local: avoids cycle at import
-
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"MGL{MGL_VERSION}\n")
         for timestamp, command in entries:
@@ -305,8 +309,6 @@ def write_command_log(path, entries) -> None:
 
 
 def read_command_log(path):
-    from .editor import CommandKind, EditCommand, Granularity
-
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()

@@ -7,7 +7,10 @@ position and orientation expressed in the wrist frame (3 + 4). Expressing
 everything relative to the wrist makes the features invariant to rigid
 motion of the whole hand, which the tests assert directly.
 
-All types are immutable values; operations are pure functions.
+A HandFrame is one tracked skeleton: a timestamp, a handedness and two
+read-only joint arrays, positions (11, 3) and orientations (11, 4), which
+every consumer reads directly. All types are immutable values; operations
+are pure functions.
 """
 
 from __future__ import annotations
@@ -58,64 +61,40 @@ class MixedHandedness(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JointPose:
-    """Position (meters, tracking space) and unit orientation of one joint.
-
-    The quaternion is validated, not renormalized: construction keeps the
-    caller's exact values so that 32-bit serialization round-trips bit for
-    bit. Norm must already be within 1e-6 of 1.
-    """
-
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ValueError("position must be a finite 3-vector")
-        ori = np.asarray(self.orientation, dtype=np.float64)
-        if ori.shape != (4,) or not np.all(np.isfinite(ori)):
-            raise ValueError("orientation must be a finite 4-vector")
-        if abs(np.linalg.norm(ori) - 1.0) > 1e-6:
-            raise ValueError("orientation must be a unit quaternion (|norm - 1| <= 1e-6)")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "orientation", ori)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HandFrame:
     """One timestamped pose of all 11 joints of a single hand.
 
-    Joint order is fixed: wrist first, then tip/below-tip pairs per finger
-    (thumb, index, middle, ring, pinky). The stacked joint arrays are cached
-    after the first access; the streaming hot path reads them every frame.
+    ``positions`` (11, 3) holds joint positions in meters, tracking space;
+    ``orientations`` (11, 4) holds unit quaternions (w, x, y, z). Row order
+    is fixed: wrist first, then tip/below-tip pairs per finger (thumb,
+    index, middle, ring, pinky). Both arrays are float64 copies of the
+    caller's values, stored read-only. Quaternions are validated, not
+    renormalized, so 32-bit serialization round-trips bit for bit: every
+    norm must already be within 1e-6 of 1.
     """
 
     timestamp: float
     handedness: Handedness
-    joints: tuple[JointPose, ...]
+    positions: np.ndarray
+    orientations: np.ndarray
 
     def __post_init__(self):
-        if len(self.joints) != NUM_JOINTS:
-            raise ValueError(f"expected {NUM_JOINTS} joints, got {len(self.joints)}")
-        object.__setattr__(self, "joints", tuple(self.joints))
-
-    def positions(self) -> np.ndarray:
-        cached = self.__dict__.get("_positions")
-        if cached is None:
-            cached = np.stack([j.position for j in self.joints])
-            cached.flags.writeable = False
-            self.__dict__["_positions"] = cached
-        return cached
-
-    def orientations(self) -> np.ndarray:
-        cached = self.__dict__.get("_orientations")
-        if cached is None:
-            cached = np.stack([j.orientation for j in self.joints])
-            cached.flags.writeable = False
-            self.__dict__["_orientations"] = cached
-        return cached
+        pos = np.array(self.positions, dtype=np.float64)
+        ori = np.array(self.orientations, dtype=np.float64)
+        if pos.shape != (NUM_JOINTS, 3) or ori.shape != (NUM_JOINTS, 4):
+            raise ValueError(
+                f"expected ({NUM_JOINTS}, 3) positions and ({NUM_JOINTS}, 4) orientations, "
+                f"got {pos.shape} and {ori.shape}"
+            )
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ori))):
+            raise ValueError("joint positions and orientations must be finite")
+        if np.any(np.abs(np.linalg.norm(ori, axis=1) - 1.0) > 1e-6):
+            raise ValueError("orientations must be unit quaternions (|norm - 1| <= 1e-6)")
+        pos.flags.writeable = False
+        ori.flags.writeable = False
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "orientations", ori)
 
 
 def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.ndarray:

@@ -107,8 +107,8 @@ class StreamRuntime:
                 f"timestamp {frame.timestamp} not after {self.last_timestamp}"
             )
         self.last_timestamp = frame.timestamp
-        self._pos_ring[self._ring_next] = frame.positions()
-        self._ori_ring[self._ring_next] = frame.orientations()
+        self._pos_ring[self._ring_next] = frame.positions
+        self._ori_ring[self._ring_next] = frame.orientations
         self._ring_next = (self._ring_next + 1) % T_WINDOW
         self._ring_count = min(self._ring_count + 1, T_WINDOW)
         if self._ring_count < T_WINDOW:

@@ -27,18 +27,14 @@ finger. Swipe frames get automatic sub-state labels 0-3 by quantizing the
 thumb's projected position into equal quarters; every other gesture carries
 the single sub-state 4.
 
-Clips are array-backed for speed (single vectorized pass per clip); the
-``frames`` property materializes HandFrame objects on demand.
+Clips are array-backed for speed: a single vectorized pass per clip.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +44,7 @@ from .skeleton import (
     INDEX_TIP,
     NUM_JOINTS,
     THUMB_TIP,
-    HandFrame,
     Handedness,
-    JointPose,
 )
 
 FRAME_RATE = 72.0
@@ -110,8 +104,7 @@ class SubjectParams:
 class LabeledClip:
     """One labeled recording: per-frame joint arrays plus sub-state labels.
 
-    Arrays hold float32-exact values; ``frames`` builds HandFrame objects
-    lazily when object-level access is wanted.
+    Arrays hold float32-exact values.
     """
 
     gesture: GestureClass
@@ -138,20 +131,6 @@ class LabeledClip:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    @cached_property
-    def frames(self) -> tuple[HandFrame, ...]:
-        return tuple(
-            HandFrame(
-                float(self.timestamps[i]),
-                self.handedness,
-                tuple(
-                    JointPose(self.joint_positions[i, j], self.joint_orientations[i, j])
-                    for j in range(NUM_JOINTS)
-                ),
-            )
-            for i in range(len(self))
-        )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -543,13 +522,6 @@ def subjects_for(master_seed: int, n_subjects: int) -> list[SubjectParams]:
     return out
 
 
-def thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("MICROGEXT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def make_dataset(
     n_subjects: int = 10,
     reps_per_gesture: int = 20,
@@ -559,30 +531,17 @@ def make_dataset(
     """n_subjects x (7 gestures x reps + null_reps) clips, deterministically.
 
     Each clip's seed is derived by hashing (master seed, subject, gesture,
-    rep), so generation order (and any parallelism) cannot change content.
+    rep), so generation order cannot change content.
     """
     if n_subjects < 1 or reps_per_gesture < 1 or null_reps < 1:
         raise ValueError("all counts must be >= 1")
     subjects = subjects_for(seed, n_subjects)
 
-    jobs = []
+    clips = []
     for subject in subjects:
         for gesture in COMMAND_GESTURES:
             for rep in range(reps_per_gesture):
-                jobs.append((gesture, subject, stable_hash(seed, subject.subject_id, gesture.value, rep)))
+                clips.append(synth_clip(gesture, subject, stable_hash(seed, subject.subject_id, gesture.value, rep)))
         for rep in range(null_reps):
-            jobs.append((None, subject, stable_hash(seed, subject.subject_id, "Null", rep)))
-
-    def run(job):
-        gesture, subject, clip_seed = job
-        if gesture is None:
-            return synth_null(subject, clip_seed)
-        return synth_clip(gesture, subject, clip_seed)
-
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            clips = list(pool.map(run, jobs))
-    else:
-        clips = [run(job) for job in jobs]
+            clips.append(synth_null(subject, stable_hash(seed, subject.subject_id, "Null", rep)))
     return Dataset(tuple(clips), master_seed=seed)

@@ -1,11 +1,11 @@
-"""Single-frame builder shared by the interaction and stream tests."""
+"""Frame builders shared by the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from microgext.skeleton import NUM_JOINTS, HandFrame, Handedness, JointPose
-from microgext.synth import PoseParams, PoseTrack, SubjectParams, assemble_clip_arrays
+from microgext.skeleton import HandFrame, Handedness
+from microgext.synth import LabeledClip, PoseParams, PoseTrack, SubjectParams, assemble_clip_arrays
 
 
 def build_frame(
@@ -27,5 +27,10 @@ def build_frame(
         subject,
         rng,
     )
-    joints = tuple(JointPose(pos[0, j], ori[0, j]) for j in range(NUM_JOINTS))
-    return HandFrame(float(ts[0]), handedness, joints)
+    return HandFrame(float(ts[0]), handedness, pos[0], ori[0])
+
+
+def clip_frames(clip: LabeledClip):
+    """The clip's frames in order, built one at a time."""
+    for t, pos, ori in zip(clip.timestamps, clip.joint_positions, clip.joint_orientations):
+        yield HandFrame(float(t), clip.handedness, pos, ori)

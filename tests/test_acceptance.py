@@ -24,6 +24,7 @@ from microgext.fsm import FsmConfig
 from .test_editor import run_fuzz_case
 from .test_fsm import SYMBOLS, exhaustive_state_symbol_equivalence, run_production
 from .test_gradcheck import run_gradcheck
+from .frames import clip_frames
 from .fsm_reference import TableFsm
 
 FULL_MODE = os.environ.get("MICROGEXT_ACCEPT_FULL", "") == "1"
@@ -250,7 +251,7 @@ def test_null_clips_false_positive_rate(folds):
     with stream.inference_thread_cap():
         for clip in null_clips:
             runtime = stream.StreamRuntime(params, FsmConfig())
-            if any(runtime.push_frame(f) is not None for f in clip.frames):
+            if any(runtime.push_frame(f) is not None for f in clip_frames(clip)):
                 fired += 1
     rate = fired / len(null_clips)
     print(f"null-clip false-positive rate: {rate:.3f} ({fired}/{len(null_clips)})")

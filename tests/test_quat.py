@@ -1,7 +1,6 @@
 """Quaternion helper checks against rotation-matrix oracles."""
 
 import numpy as np
-import pytest
 
 from microgext import quat
 
@@ -62,23 +61,6 @@ def test_from_axis_angle_known_rotation():
     np.testing.assert_allclose(quat.rotate(q, np.array([1.0, 0, 0])), [0, 1, 0], atol=1e-12)
 
 
-def test_slerp_endpoints_and_midpoint():
-    q0 = quat.from_axis_angle(np.array([0, 1, 0]), 0.0)
-    q1 = quat.from_axis_angle(np.array([0, 1, 0]), 1.0)
-    np.testing.assert_allclose(quat.slerp(q0, q1, 0.0), q0, atol=1e-12)
-    np.testing.assert_allclose(quat.slerp(q0, q1, 1.0), q1, atol=1e-12)
-    mid = quat.slerp(q0, q1, 0.5)
-    np.testing.assert_allclose(mid, quat.from_axis_angle(np.array([0, 1, 0]), 0.5), atol=1e-12)
-
-
-def test_slerp_takes_short_arc():
-    rng = np.random.default_rng(4)
-    q0 = random_unit(rng)
-    q1 = -q0  # same rotation, opposite sign
-    out = quat.slerp(q0, q1, 0.7)
-    np.testing.assert_allclose(np.abs(out @ q0), 1.0, atol=1e-9)
-
-
 def test_sign_normalize():
     rng = np.random.default_rng(5)
     q = random_unit(rng)
@@ -89,10 +71,3 @@ def test_sign_normalize():
     zero_w = np.array([0.0, -0.6, 0.8, 0.0])
     out = quat.sign_normalize(zero_w)
     assert out[1] > 0  # tie broken on the first nonzero vector component
-
-
-def test_normalize_rejects_degenerate():
-    with pytest.raises(ValueError):
-        quat.normalize(np.zeros(4))
-    with pytest.raises(ValueError):
-        quat.normalize(np.array([np.inf, 0, 0, 0]))

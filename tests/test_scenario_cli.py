@@ -50,7 +50,7 @@ class TestScenarioCompile:
         assert len(fa) == len(fb)
         for a, b in zip(fa, fb):
             assert a.timestamp == b.timestamp
-            np.testing.assert_array_equal(a.positions(), b.positions())
+            np.testing.assert_array_equal(a.positions, b.positions)
 
     def test_json_round_trip(self, tmp_path):
         sc = default_scenario()

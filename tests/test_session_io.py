@@ -1,5 +1,8 @@
 """File formats: lossless round trips, hash checks, deterministic bytes."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,10 @@ from microgext.session_io import (
     write_dataset,
     write_session,
 )
-from microgext.skeleton import JOINT_NAMES
+from microgext.skeleton import INDEX_TIP, JOINT_NAMES, NUM_JOINTS
 from microgext.synth import GestureClass, clips_equal
+
+from .frames import clip_frames
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +70,28 @@ class TestDataset:
         with pytest.raises(JointOrderMismatch):
             read_dataset(tmp_path / "p.mgd")
 
+    @staticmethod
+    def _patch_first_record(dataset, path, field_offset, value):
+        """Write the dataset, then overwrite one byte of the first clip
+        record's fixed header (<iBBIf: class byte at 4, hand byte at 5)."""
+        write_dataset(dataset, path)
+        blob = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        blob[8 + header_len + field_offset] = value
+        path.write_bytes(bytes(blob))
+
+    def test_unknown_class_byte_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mgd"
+        self._patch_first_record(dataset, path, 4, 200)
+        with pytest.raises(CorruptRecord, match="class index 200"):
+            read_dataset(path)
+
+    def test_unknown_hand_byte_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mgd"
+        self._patch_first_record(dataset, path, 5, 2)
+        with pytest.raises(CorruptRecord, match="hand byte 2"):
+            read_dataset(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mgd"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -104,6 +131,14 @@ class TestCheckpoint:
         with pytest.raises(HashMismatch):
             load_checkpoint(path)
 
+    def test_truncated_payload_with_matching_hash_rejected(self, params, tmp_path):
+        path = tmp_path / "c.mgc"
+        save_checkpoint(params, path)
+        payload = path.read_bytes()[4 + 32 : -10]
+        path.write_bytes(b"MGC1" + hashlib.sha256(payload).digest() + payload)
+        with pytest.raises(CorruptRecord, match="truncated"):
+            load_checkpoint(path)
+
     def test_wrong_width_shape_mismatch(self, params, tmp_path):
         # constructed fixture: header claims hidden=32, tensors are 16-wide
         path = tmp_path / "c.mgc"
@@ -130,7 +165,7 @@ class TestSession:
     def test_round_trip(self, tmp_path):
         subject = synth.subjects_for(0, 1)[0]
         clip = synth.synth_clip(GestureClass.FIST, subject, seed=1)
-        frames = list(clip.frames[:40])
+        frames = list(clip_frames(clip))[:40]
         events = [
             GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99),
             GestureEvent(GestureClass.SWIPE, fired_at=1.0, mean_confidence=0.97),
@@ -142,8 +177,8 @@ class TestSession:
         for a, b in zip(frames, back_frames):
             assert a.timestamp == b.timestamp
             assert a.handedness is b.handedness
-            np.testing.assert_array_equal(a.positions(), b.positions())
-            np.testing.assert_array_equal(a.orientations(), b.orientations())
+            np.testing.assert_array_equal(a.positions, b.positions)
+            np.testing.assert_array_equal(a.orientations, b.orientations)
         assert [e.gesture for e in back_events] == [GestureClass.FIST, GestureClass.SWIPE]
 
     def test_v2_events_round_trip(self, tmp_path):
@@ -179,6 +214,16 @@ class TestSession:
         with open(path, "a") as fh:
             fh.write("F 1.0 R 0.1 0.2\n")
         with pytest.raises(CorruptRecord):
+            read_session(path)
+
+    def test_non_unit_quaternion_rejected(self, tmp_path):
+        pose = np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], (NUM_JOINTS, 1))
+        pose[INDEX_TIP, 3:] = (1.0, 1.0, 0.0, 0.0)
+        path = tmp_path / "s.mgs"
+        write_session(path, [], [])
+        with open(path, "a") as fh:
+            fh.write("F 1.0 R " + " ".join(repr(float(v)) for v in pose.reshape(-1)) + "\n")
+        with pytest.raises(CorruptRecord, match="unit quaternion"):
             read_session(path)
 
     def test_wrong_header_rejected(self, tmp_path):

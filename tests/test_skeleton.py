@@ -11,49 +11,63 @@ from microgext.skeleton import (
     T_WINDOW,
     HandFrame,
     Handedness,
-    JointPose,
     features_from_arrays,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+ORIENTATIONS = np.tile(IDENTITY, (NUM_JOINTS, 1))
 
 
 def make_frame(offsets):
     """Right-hand frame with the wrist at the origin, joints at the given
     offsets, and identity orientations."""
-    joints = tuple(JointPose(np.asarray(o, dtype=float), IDENTITY) for o in offsets)
-    return HandFrame(0.0, Handedness.RIGHT, joints)
+    return HandFrame(0.0, Handedness.RIGHT, offsets, ORIENTATIONS)
 
 
 def featurize(frames):
     """Features of a frame sequence, shape (len(frames), J, 7)."""
     return features_from_arrays(
-        np.stack([f.positions() for f in frames]), np.stack([f.orientations() for f in frames])
+        np.stack([f.positions for f in frames]), np.stack([f.orientations for f in frames])
     )
 
 
 def random_frame(rng, t):
-    joints = []
-    for _ in range(NUM_JOINTS):
+    pos = np.empty((NUM_JOINTS, 3))
+    ori = np.empty((NUM_JOINTS, 4))
+    for j in range(NUM_JOINTS):
         q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        joints.append(JointPose(rng.normal(0, 0.1, 3), q))
-    return HandFrame(t, Handedness.RIGHT, tuple(joints))
+        ori[j] = q / np.linalg.norm(q)
+        pos[j] = rng.normal(0, 0.1, 3)
+    return HandFrame(t, Handedness.RIGHT, pos, ori)
 
 
 class TestTypes:
     def test_joint_pose_validates_quaternion_norm(self):
+        ori = ORIENTATIONS.copy()
+        ori[INDEX_TIP] = (1.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            JointPose(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]))
+            HandFrame(0.0, Handedness.RIGHT, np.zeros((NUM_JOINTS, 3)), ori)
 
     def test_joint_pose_rejects_nonfinite_position(self):
+        pos = np.zeros((NUM_JOINTS, 3))
+        pos[INDEX_TIP, 0] = np.nan
         with pytest.raises(ValueError):
-            JointPose(np.array([np.nan, 0, 0]), IDENTITY)
+            HandFrame(0.0, Handedness.RIGHT, pos, ORIENTATIONS)
 
     def test_hand_frame_requires_eleven_joints(self):
-        joints = tuple(JointPose(np.zeros(3), IDENTITY) for _ in range(10))
         with pytest.raises(ValueError):
-            HandFrame(0.0, Handedness.RIGHT, joints)
+            HandFrame(0.0, Handedness.RIGHT, np.zeros((10, 3)), ORIENTATIONS[:10])
+
+    def test_hand_frame_owns_read_only_copies(self):
+        pos = np.zeros((NUM_JOINTS, 3))
+        ori = ORIENTATIONS.copy()
+        frame = HandFrame(0.0, Handedness.RIGHT, pos, ori)
+        pos[INDEX_TIP] = 1.0
+        ori[INDEX_TIP] = (0.0, 1.0, 0.0, 0.0)
+        np.testing.assert_array_equal(frame.positions, np.zeros((NUM_JOINTS, 3)))
+        np.testing.assert_array_equal(frame.orientations, ORIENTATIONS)
+        with pytest.raises(ValueError):
+            frame.positions[INDEX_TIP] = 1.0
 
     def test_joint_names_fixed_order(self):
         assert JOINT_NAMES[0] == "Wrist"
@@ -87,11 +101,9 @@ class TestExtractFeatures:
         trans = rng.normal(0, 0.5, 3)
         moved = []
         for f in frames:
-            joints = tuple(
-                JointPose(trans + quat.rotate(rot, j.position), quat.multiply(rot, j.orientation) / np.linalg.norm(quat.multiply(rot, j.orientation)))
-                for j in f.joints
-            )
-            moved.append(HandFrame(f.timestamp, f.handedness, joints))
+            ori = quat.multiply(rot, f.orientations)
+            ori /= np.linalg.norm(ori, axis=-1, keepdims=True)
+            moved.append(HandFrame(f.timestamp, f.handedness, trans + quat.rotate(rot, f.positions), ori))
         transformed = featurize(moved)
         np.testing.assert_allclose(transformed, base, atol=1e-6)
 

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import microgext.synth as synth
-
 from microgext.skeleton import INDEX_BELOW, INDEX_TIP, THUMB_TIP
 from microgext.synth import (
     CLASS_NAMES,
@@ -181,13 +179,3 @@ class TestDataset:
     def test_class_names_cover_eight(self):
         assert len(CLASS_NAMES) == 8
         assert CLASS_NAMES[-1] == "Null"
-
-    def test_parallel_generation_identical(self, monkeypatch):
-        # clip seeds derive from (master seed, subject, gesture, rep), so a
-        # thread pool cannot change content
-        serial = make_dataset(2, 2, 2, seed=9)
-        monkeypatch.setenv("MICROGEXT_THREADS", "2")
-        threaded = make_dataset(2, 2, 2, seed=9)
-        assert len(serial.clips) == len(threaded.clips)
-        for a, b in zip(serial.clips, threaded.clips):
-            assert synth.clips_equal(a, b)
