@@ -2,9 +2,8 @@
 
 Subcommands cover the whole pipeline: synth (generate a dataset file),
 train (one leave-one-subject-out fold to a checkpoint), eval (confusions
-and calibration gaps to a report), stream (replay a recording or compile a
-scripted scenario through the online recognizer and editor) and bench
-(per-frame latency percentiles).
+and calibration gaps to a report) and stream (replay a recording or compile
+a scripted scenario through the online recognizer and editor).
 
 Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
@@ -23,7 +22,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import calibration, evaluation, network, scenario as scenario_mod, session_io, stream, synth, training
+from . import calibration, evaluation, network, scenario as scenario_mod, session_io, synth, training
 from .editor import Granularity
 from .fsm import FsmConfig
 
@@ -208,45 +207,6 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
     if expected is not None and [c for c in result.commands] != expected:
         click.echo("warning: produced commands differ from the scripted expectation", err=True)
         sys.exit(1)
-
-
-@main.command("bench")
-@click.option("--checkpoint", "ckpt_path", type=click.Path(exists=True), default=None,
-              help="Checkpoint to time; defaults to freshly initialized weights.")
-@click.option("--hidden", default=256, show_default=True)
-@click.option("--frames", "n_frames", default=720, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--out", default="out", show_default=True)
-def cmd_bench(ckpt_path, hidden, n_frames, seed, config_path, out):
-    """Measure per-frame push latency over a synthetic stream."""
-    out_dir = _prepare_out(out, config_path)
-    if ckpt_path is not None:
-        params = session_io.load_checkpoint(ckpt_path)
-    else:
-        params = network.init_params(network.HyperParams(hidden=hidden), seed=seed)
-
-    sc = scenario_mod.Scenario(
-        initial_text="",
-        seed=seed,
-        steps=(
-            scenario_mod.ScenarioStep(kind="gesture", gesture=synth.GestureClass.FIST, hold=2.0),
-            scenario_mod.ScenarioStep(kind="swipe", u_from=0.05, u_to=0.9, move_time=2.0),
-            scenario_mod.ScenarioStep(kind="rest", duration=2.0),
-        ),
-    )
-    frames, _ = scenario_mod.compile_scenario(sc)
-    right = [f for f in frames if f.handedness.value == "Right"][:n_frames]
-    runtime = stream.StreamRuntime(params)
-    with stream.inference_thread_cap():
-        for frame in right:
-            runtime.push_frame(frame)
-    summary = stream.latency_percentiles(runtime.latencies_ms)
-    _write_timing(out_dir, {"latency_ms": summary, "frames": len(right)})
-    click.echo(
-        f"push_frame latency over {len(right)} frames (hidden={params.hp.hidden}): "
-        f"p50 {summary['p50']:.3f} ms  p95 {summary['p95']:.3f} ms  p99 {summary['p99']:.3f} ms"
-    )
 
 
 if __name__ == "__main__":

@@ -8,22 +8,27 @@ first, so Undo restores the prior (text, caret, selection) exactly. The
 clipboard is never part of a snapshot: undoing a Cut restores the text but
 keeps the captured clipboard, as in conventional editors.
 
-Granularity-aware navigation is built on segment(), which lists unit start
-indices, and on unit "territories": the half-open span from one start to
-the next. A unit's content end is its territory end with trailing
-whitespace stripped (sentence terminators are content, separator blank
-lines and inter-word spaces are not), except in character mode where the
-unit is the single character itself. Range selection snaps outward to unit
+Granularity-aware navigation runs on one unit index per (text,
+granularity), built once and cached: the sorted unit starts that segment()
+lists, and each unit's content end. A unit spans from its start to the next
+start; its content end drops the trailing whitespace of that span (sentence
+terminators are content, separator blank lines and inter-word spaces are
+not), except in character mode where the unit is the single character
+itself. Caret moves and selection steps are bisect lookups into the two
+sorted sequences, so once the index is built a command costs O(log n)
+however many units it moves. Range selection snaps outward to unit
 boundaries but never swallows trailing whitespace.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 
 UNDO_DEPTH = 100
-_TERMINATORS = frozenset(".!?")
 
 
 class Granularity(Enum):
@@ -31,6 +36,14 @@ class Granularity(Enum):
     WORD = "Word"
     SENTENCE = "Sentence"
     PARAGRAPH = "Paragraph"
+
+
+# What ends a unit: a unit starts after each match that ends inside the text.
+_UNIT_BREAKS = {
+    Granularity.WORD: r"\s+",
+    Granularity.SENTENCE: r"[.!?]+\s*",
+    Granularity.PARAGRAPH: r"\n{2,}",
+}
 
 
 class CommandKind(Enum):
@@ -118,7 +131,7 @@ class Document:
 
 
 # ---------------------------------------------------------------------------
-# Segmentation
+# Segmentation and the unit index
 # ---------------------------------------------------------------------------
 
 def segment(text: str, granularity: Granularity) -> list[int]:
@@ -129,136 +142,77 @@ def segment(text: str, granularity: Granularity) -> list[int]:
     whitespace. Paragraph: position after a blank line (two or more
     consecutive line breaks). Nonempty text always starts a unit at 0.
     """
-    if not text:
-        return [0]
     if granularity is Granularity.CHARACTER:
-        return list(range(len(text)))
-    starts = [0]
-    if granularity is Granularity.WORD:
-        for i in range(1, len(text)):
-            if not text[i].isspace() and text[i - 1].isspace():
-                starts.append(i)
-    elif granularity is Granularity.SENTENCE:
-        i = 0
-        n = len(text)
-        while i < n:
-            if text[i] in _TERMINATORS:
-                j = i
-                while j < n and text[j] in _TERMINATORS:
-                    j += 1
-                while j < n and text[j].isspace():
-                    j += 1
-                if j < n and j > starts[-1]:
-                    starts.append(j)
-                i = j
-            else:
-                i += 1
-    else:  # PARAGRAPH
-        i = 0
-        n = len(text)
-        while i < n - 1:
-            if text[i] == "\n" and text[i + 1] == "\n":
-                j = i
-                while j < n and text[j] == "\n":
-                    j += 1
-                if j < n and j > starts[-1]:
-                    starts.append(j)
-                i = j
-            else:
-                i += 1
-    return starts
+        return list(range(len(text))) or [0]
+    n = len(text)
+    return [0] + [m.end() for m in re.finditer(_UNIT_BREAKS[granularity], text) if m.end() < n]
 
 
-def _territories(text: str, granularity: Granularity) -> list[tuple[int, int, int]]:
-    """(start, content_end, territory_end) per unit.
+@lru_cache(maxsize=8)
+def _units(text: str, granularity: Granularity):
+    """(starts, content_ends) of every unit, built once per (text, granularity).
 
-    The territory of unit k runs to the next unit's start (or text end); the
+    A unit runs from its start to the next start (or the text end); its
     content end strips trailing whitespace, except in character mode where
-    the unit is exactly one character.
+    the unit is exactly one character. Both sequences strictly increase: a
+    word or paragraph start follows whitespace, which the previous unit's
+    content end drops, and a sentence starts on a non-whitespace character,
+    which its own content end keeps.
     """
-    starts = segment(text, granularity)
-    out = []
-    for k, start in enumerate(starts):
-        end = starts[k + 1] if k + 1 < len(starts) else len(text)
-        if granularity is Granularity.CHARACTER:
-            content_end = min(start + 1, len(text))
-        else:
-            content_end = end
-            while content_end > start and text[content_end - 1].isspace():
-                content_end -= 1
-        out.append((start, content_end, end))
-    return out
-
-
-def _territory_index(territories, pos: int) -> int:
-    """Unit whose territory contains pos (positions past the last start
-    belong to the last unit)."""
-    found = 0
-    for k, (start, _, _) in enumerate(territories):
-        if start <= pos:
-            found = k
-        else:
-            break
-    return found
+    starts = tuple(segment(text, granularity))
+    n = len(text)
+    if granularity is Granularity.CHARACTER:
+        return starts, range(1, n + 1) or (0,)
+    return starts, tuple(s + len(text[s:e].rstrip()) for s, e in zip(starts, starts[1:] + (n,)))
 
 
 # ---------------------------------------------------------------------------
 # Caret and selection movement
 # ---------------------------------------------------------------------------
 
-def move_caret(doc: Document, delta: int, granularity: Granularity | None = None) -> Document:
+def move_caret(doc: Document, delta: int) -> Document:
     """Move the caret |delta| unit boundaries in delta's direction, clamped.
 
     Boundaries are the unit start indices; stepping right from at-or-past
     the last boundary clamps to the end of the text.
     """
-    gran = granularity or doc.granularity
-    starts = segment(doc.text, gran)
+    starts, _ = _units(doc.text, doc.granularity)
     caret = doc.caret
-    n = len(doc.text)
-    for _ in range(abs(delta)):
-        if delta > 0:
-            later = [s for s in starts if s > caret]
-            caret = later[0] if later else n
-        elif delta < 0:
-            earlier = [s for s in starts if s < caret]
-            caret = earlier[-1] if earlier else 0
+    if delta > 0:
+        k = bisect_right(starts, caret) + delta - 1
+        caret = starts[k] if k < len(starts) else len(doc.text)
+    elif delta < 0:
+        caret = starts[max(bisect_left(starts, caret) + delta, 0)]
     return replace(doc, caret=caret, selection=None)
-
-
-def _step_selection_head(territories, pos: int, direction: int) -> int:
-    """Move a selection head one unit: forward lands on the next content
-    end, backward on the previous unit start."""
-    if direction > 0:
-        later = [ce for (_, ce, _) in territories if ce > pos]
-        return later[0] if later else pos
-    earlier = [s for (s, _, _) in territories if s < pos]
-    return earlier[-1] if earlier else 0
 
 
 def select_range(doc: Document, delta: int) -> Document:
     """Grow or shrink the selection by |delta| units in delta's direction.
 
     The head starts at the caret; the anchor is fixed where the selection
-    began. The resulting span is snapped outward to unit boundaries: down to
-    the start of the first touched unit, and up to the content end of the
-    last touched unit, so trailing separator whitespace is never selected.
+    began. A forward step lands on the next content end, a backward step on
+    the previous unit start. The resulting span is snapped outward to unit
+    boundaries: down to the start of the first touched unit, and up to the
+    content end of the last touched unit, so trailing separator whitespace
+    is never selected.
     """
-    territories = _territories(doc.text, doc.granularity)
+    starts, content_ends = _units(doc.text, doc.granularity)
     if doc.selection is None:
         anchor = head = doc.caret
     else:
         anchor, head = doc.selection
-    for _ in range(abs(delta)):
-        head = _step_selection_head(territories, head, 1 if delta > 0 else -1)
+    if delta > 0:
+        k = bisect_right(content_ends, head)
+        if k < len(content_ends):  # past the last content end the head stays put
+            head = content_ends[min(k + delta - 1, len(content_ends) - 1)]
+    elif delta < 0:
+        head = starts[max(bisect_left(starts, head) + delta, 0)]
     if head == anchor:
         return replace(doc, selection=None, caret=head)
 
     lo, hi = (anchor, head) if anchor < head else (head, anchor)
-    start_lo, _, _ = territories[_territory_index(territories, lo)]
-    _, content_end_hi, _ = territories[_territory_index(territories, hi - 1)]
-    lo_s = min(start_lo, lo)
-    hi_s = content_end_hi
+    lo_s = starts[bisect_right(starts, lo) - 1]
+    hi_s = content_ends[bisect_right(starts, hi - 1) - 1]
     if hi_s <= lo_s:
         return replace(doc, selection=None, caret=head)
     if anchor <= head:

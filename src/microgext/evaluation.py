@@ -86,23 +86,6 @@ def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64
     return EvalReport(class_confusion, state_confusion, per_class, macro, ece_before, ece_after)
 
 
-def state_accuracies(report: EvalReport) -> np.ndarray:
-    """Per-state frame accuracy from the state confusion matrix."""
-    support = report.state_confusion.sum(axis=1)
-    return np.where(support > 0, np.diag(report.state_confusion) / np.maximum(support, 1), np.nan)
-
-
-def off_tridiagonal_mass(report: EvalReport) -> float:
-    """Fraction of non-adjacent sub-state errors among true states 0-3,
-    counting only predictions in 0-3 (state 4 excluded from both axes)."""
-    sub = report.state_confusion[:4, :4].astype(np.float64)
-    total = sub.sum()
-    if total == 0:
-        return 0.0
-    i, j = np.indices(sub.shape)
-    return float(sub[np.abs(i - j) >= 2].sum() / total)
-
-
 def format_confusion(matrix: np.ndarray, labels) -> str:
     """Human-readable confusion table with row-normalized percentages."""
     width = max(len(str(l)) for l in labels) + 2

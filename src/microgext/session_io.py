@@ -263,6 +263,8 @@ def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
             try:
                 if parts[0] == "F":
                     ts = float(parts[1])
+                    if parts[2] not in ("R", "L"):
+                        raise CorruptRecord(f"frame record at line {lineno} has hand {parts[2]!r}, not R or L")
                     hand = Handedness.RIGHT if parts[2] == "R" else Handedness.LEFT
                     vals = np.array([float(v) for v in parts[3:]])
                     if vals.size != NUM_JOINTS * 7:

@@ -21,10 +21,10 @@ from microgext.editor import (
 
 from . import editor_reference as ref
 
-TEXTS = st.text(
-    alphabet=st.sampled_from("ab c.\nX!z? "),
-    max_size=60,
-)
+# Letters, terminators, spaces and line breaks, plus every code point
+# str.isspace knows, so the unit rules meet every separator they must handle.
+ALPHABET = "ab c.\nX!z? " + "".join(chr(c) for c in range(0x110000) if chr(c).isspace())
+TEXTS = st.text(alphabet=st.sampled_from(ALPHABET), max_size=60)
 
 
 class TestSegment:
@@ -53,6 +53,7 @@ class TestSegment:
     @settings(max_examples=200, deadline=None)
     def test_strictly_increasing_and_starts_at_zero(self, text, g):
         starts = segment(text, g)
+        assert starts == ref.unit_starts(text, g.value)
         assert starts[0] == 0
         assert all(b > a for a, b in zip(starts, starts[1:]))
         assert all(0 <= s <= max(len(text) - 1, 0) for s in starts)
@@ -60,28 +61,28 @@ class TestSegment:
 
 class TestMoveCaret:
     def test_word_step_example(self):
-        doc = Document.create("hello world")
-        out = move_caret(doc, +1, Granularity.WORD)
+        doc = Document.create("hello world", Granularity.WORD)
+        out = move_caret(doc, +1)
         assert out.caret == 6
 
     def test_zero_delta_unchanged(self):
-        doc = Document.create("hello world")
-        assert move_caret(doc, 0, Granularity.WORD).caret == doc.caret
+        doc = Document.create("hello world", Granularity.WORD)
+        assert move_caret(doc, 0).caret == doc.caret
 
     def test_clamped_at_end(self):
-        doc = Document.create("abc")
-        doc = move_caret(doc, +10, Granularity.CHARACTER)
+        doc = Document.create("abc", Granularity.CHARACTER)
+        doc = move_caret(doc, +10)
         assert doc.caret == 3
-        assert move_caret(doc, +1, Granularity.CHARACTER).caret == 3
+        assert move_caret(doc, +1).caret == 3
 
     def test_clamped_at_start(self):
-        doc = Document.create("abc")
-        assert move_caret(doc, -5, Granularity.CHARACTER).caret == 0
+        doc = Document.create("abc", Granularity.CHARACTER)
+        assert move_caret(doc, -5).caret == 0
 
     def test_clears_selection(self):
-        doc = Document.create("abc def")
+        doc = Document.create("abc def", Granularity.WORD)
         doc = apply(doc, EditCommand(CommandKind.SELECT_ALL))
-        out = move_caret(doc, -1, Granularity.WORD)
+        out = move_caret(doc, -1)
         assert out.selection is None
 
 
@@ -175,7 +176,7 @@ class TestSelectRange:
     def test_backward_from_end(self):
         text = "hello world"
         doc = Document.create(text, Granularity.WORD)
-        doc = move_caret(doc, +2, Granularity.WORD)
+        doc = move_caret(doc, +2)
         out = select_range(doc, -1)
         assert out.selection == (11, 6)
         assert text[6:11] == "world"
@@ -235,6 +236,28 @@ class TestUndoInverse:
 # ---------------------------------------------------------------------------
 # Fuzzing against the naive reference
 # ---------------------------------------------------------------------------
+
+@given(
+    st.text(alphabet=st.sampled_from(ALPHABET), max_size=300),
+    st.sampled_from(list(Granularity)),
+    st.data(),
+    st.integers(-60, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_long_range_steps_match_reference(text, g, data, delta):
+    """Caret moves and selection steps of up to 60 units land where the
+    reference's one-unit-at-a-time scans do."""
+    caret = data.draw(st.integers(0, len(text)), label="caret")
+    anchor = data.draw(st.none() | st.integers(0, len(text)), label="anchor")
+    selection = None if anchor is None or anchor == caret else (anchor, caret)
+    doc = Document(text=text, caret=caret, selection=selection, granularity=g)
+    for step, ref_step in ((move_caret, ref.move_caret), (select_range, ref.select_range)):
+        state = ref.new_state(text, g.value)
+        state["caret"], state["selection"] = caret, selection
+        ref_step(state, delta)
+        out = step(doc, delta)
+        assert (out.caret, out.selection) == (state["caret"], state["selection"]), step.__name__
+
 
 FUZZ_KINDS = (
     CommandKind.MOVE_CARET,

@@ -226,6 +226,15 @@ class TestSession:
         with pytest.raises(CorruptRecord, match="unit quaternion"):
             read_session(path)
 
+    def test_unknown_hand_field_rejected(self, tmp_path):
+        pose = np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], (NUM_JOINTS, 1))
+        path = tmp_path / "s.mgs"
+        write_session(path, [], [])
+        with open(path, "a") as fh:
+            fh.write("F 1.0 X " + " ".join(repr(float(v)) for v in pose.reshape(-1)) + "\n")
+        with pytest.raises(CorruptRecord, match="hand 'X'"):
+            read_session(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "s.mgs"
         path.write_text("MGS9 joints=Wrist\n")
