@@ -7,9 +7,9 @@ a scripted scenario through the online recognizer and editor).
 
 Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
-separate timing file. A --config JSON file can override any hyperparameter
-or FSM field and is echoed into the output directory. Exit codes: 0 ok,
-1 failed run assertion, 2 usage error.
+separate timing file. A --config JSON file can override training
+hyperparameters or FSM fields and is echoed into the output directory.
+Exit codes: 0 ok, 1 failed run assertion, 2 usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ def _load_config(path):
     hp_kwargs = {k: v for k, v in raw.items() if k in _HP_FIELDS}
     fsm_kwargs = {k: v for k, v in raw.items() if k in _FSM_FIELDS}
     return hp_kwargs, fsm_kwargs
+
+
+def _split(dataset, fold_subject):
+    try:
+        return training.split_fold(dataset, fold_subject)
+    except (training.EmptyFold, training.MissingClass) as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _prepare_out(out, config_path) -> Path:
@@ -98,10 +105,10 @@ def cmd_train(dataset_path, fold_subject, seed, config_path, out):
     hp = network.HyperParams(**hp_kwargs)
     out_dir = _prepare_out(out, config_path)
     dataset = session_io.read_dataset(dataset_path)
+    _, val_clips, _ = _split(dataset, fold_subject)
 
     t0 = time.perf_counter()
     params, log = training.train(dataset, fold_subject, hp)
-    _, val_clips, _ = training.split_fold(dataset, fold_subject)
     val_fc = [training.featurize_clip(c) for c in val_clips]
     x_val = np.stack([training.center_window(fc) for fc in val_fc])
     y_val = np.array([fc.class_index for fc in val_fc])
@@ -130,7 +137,7 @@ def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, config_path, out):
     out_dir = _prepare_out(out, config_path)
     params = session_io.load_checkpoint(ckpt_path)
     dataset = session_io.read_dataset(dataset_path)
-    _, _, test_clips = training.split_fold(dataset, fold_subject)
+    _, _, test_clips = _split(dataset, fold_subject)
 
     t0 = time.perf_counter()
     report = evaluation.evaluate(params, test_clips)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration, network, training
-from .network import ModelParams
+from .network import N_CLASSES, N_STATES, ModelParams
+from .skeleton import T_WINDOW
 from .synth import CLASS_NAMES, LabeledClip
 
 
@@ -57,12 +58,11 @@ def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64
         logits.append(out["class_logits"])
     logits = np.concatenate(logits)
 
-    t_len = params.hp.t_window
     xs_state, ys_state = [], []
     for fc in fcs:
-        for start in range(0, len(fc.features) - t_len + 1, t_len // 2):
-            xs_state.append(fc.features[start : start + t_len])
-            ys_state.append(fc.substates[start : start + t_len])
+        for start in range(0, len(fc.features) - T_WINDOW + 1, T_WINDOW // 2):
+            xs_state.append(fc.features[start : start + T_WINDOW])
+            ys_state.append(fc.substates[start : start + T_WINDOW])
     xs_state = np.stack(xs_state)
     y_state = np.stack(ys_state).astype(np.int64)
     state_preds = []
@@ -72,9 +72,8 @@ def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64
     state_preds = np.concatenate(state_preds)
 
     class_preds = logits.argmax(axis=-1)
-    n_classes = params.hp.n_classes
-    class_confusion = _confusion(y_class, class_preds, n_classes)
-    state_confusion = _confusion(y_state.reshape(-1), state_preds.reshape(-1), params.hp.n_states)
+    class_confusion = _confusion(y_class, class_preds, N_CLASSES)
+    state_confusion = _confusion(y_state.reshape(-1), state_preds.reshape(-1), N_STATES)
 
     support = class_confusion.sum(axis=1)
     with np.errstate(invalid="ignore"):

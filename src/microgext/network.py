@@ -1,6 +1,7 @@
 """Multi-task recognition network with a hand-written backward pass.
 
-Architecture (fixed, widths from the hyperparameters):
+Architecture (fixed; only the width H is a hyperparameter: T, J and D = 3 + 4
+come from skeleton, the 8 classes and 5 sub-states from synth):
 
     input (T, J, D)
       -> per-joint linear D -> H, ReLU, layer norm (no affine)
@@ -25,6 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses
+from .skeleton import NUM_JOINTS, T_WINDOW
+from .synth import CLASS_NAMES, SubState
 
 LN_EPS = 1e-5
 
@@ -33,6 +36,11 @@ LN_EPS = 1e-5
 # sub-state signal (thumb translation) from drowning in the projection
 POS_SCALE = 10.0
 _INPUT_SCALE = np.array([POS_SCALE, POS_SCALE, POS_SCALE, 1.0, 1.0, 1.0, 1.0])
+
+N_FEATURES = _INPUT_SCALE.size  # wrist-relative position (3) and orientation (4)
+INPUT_SHAPE = (T_WINDOW, NUM_JOINTS, N_FEATURES)
+N_CLASSES = len(CLASS_NAMES)
+N_STATES = len(SubState)
 
 
 class ShapeMismatch(ValueError):
@@ -45,12 +53,7 @@ class NonFiniteActivation(FloatingPointError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    t_window: int = 20
-    n_joints: int = 11
-    n_features: int = 7
     hidden: int = 256
-    n_classes: int = 8
-    n_states: int = 5
     alpha: float = 0.6
     beta: float = 0.2
     gamma: float = 0.2
@@ -63,39 +66,30 @@ class HyperParams:
     max_epochs: int = 60
     contrastive_temperature: float = 0.1
     master_seed: int = 0
-    val_fraction: float = 0.15
 
     def __post_init__(self):
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise ValueError("loss weights must sum to 1")
-        for name in ("t_window", "n_joints", "n_features", "hidden", "n_classes", "n_states",
-                     "alpha", "beta", "gamma", "learning_rate", "batch_size",
+        for name in ("hidden", "alpha", "beta", "gamma", "learning_rate", "batch_size",
                      "plateau_patience", "plateau_factor", "max_epochs", "contrastive_temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
-PARAM_NAMES = (
-    "w_in", "b_in", "spatial_embed", "temporal_embed",
-    "wq", "wk", "wv",
-    "w_state", "b_state", "w_class", "b_class", "w_embed", "b_embed",
-)
-
-
 def param_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     h = hp.hidden
     return {
-        "w_in": (hp.n_features, h),
+        "w_in": (N_FEATURES, h),
         "b_in": (h,),
-        "spatial_embed": (hp.n_joints, h),
-        "temporal_embed": (hp.t_window, h),
+        "spatial_embed": (NUM_JOINTS, h),
+        "temporal_embed": (T_WINDOW, h),
         "wq": (h, h),
         "wk": (h, h),
         "wv": (h, h),
-        "w_state": (2 * h, hp.n_states),
-        "b_state": (hp.n_states,),
-        "w_class": (h, hp.n_classes),
-        "b_class": (hp.n_classes,),
+        "w_state": (2 * h, N_STATES),
+        "b_state": (N_STATES,),
+        "w_class": (h, N_CLASSES),
+        "b_class": (N_CLASSES,),
         "w_embed": (h, h),
         "b_embed": (h,),
     }
@@ -108,6 +102,8 @@ class ModelParams:
     tau: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.tau):
+            raise NonFiniteActivation(f"non-finite temperature {self.tau}")
         if self.tau <= 0:
             raise ValueError("temperature must be positive")
         shapes = param_shapes(self.hp)
@@ -125,25 +121,15 @@ class ModelParams:
 
 
 def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
+    """Zero biases, embeddings with std 0.02, weights with std 1/sqrt(fan-in)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    h = hp.hidden
-    scale = {
-        "w_in": 1.0 / np.sqrt(hp.n_features),
-        "spatial_embed": 0.02,
-        "temporal_embed": 0.02,
-        "wq": 1.0 / np.sqrt(h),
-        "wk": 1.0 / np.sqrt(h),
-        "wv": 1.0 / np.sqrt(h),
-        "w_state": 1.0 / np.sqrt(2 * h),
-        "w_class": 1.0 / np.sqrt(h),
-        "w_embed": 1.0 / np.sqrt(h),
-    }
     tensors = {}
     for name, shape in param_shapes(hp).items():
         if name.startswith("b_"):
             tensors[name] = np.zeros(shape)
         else:
-            tensors[name] = rng.normal(0.0, scale[name], shape)
+            std = 0.02 if name in ("spatial_embed", "temporal_embed") else 1.0 / np.sqrt(shape[0])
+            tensors[name] = rng.normal(0.0, std, shape)
     return ModelParams(hp, tensors, tau=1.0)
 
 
@@ -162,15 +148,12 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     state_logits (B, T, 5) and embedding (B, H); with want_cache, every
     intermediate needed by the backward pass is included.
     """
-    hp = params.hp
     x = np.asarray(x, dtype=np.float64)
-    expected = (hp.t_window, hp.n_joints, hp.n_features)
-    if x.ndim != 4 or x.shape[1:] != expected:
-        raise ShapeMismatch(f"expected batch of {expected}, got {x.shape}")
+    if x.ndim != 4 or x.shape[1:] != INPUT_SHAPE:
+        raise ShapeMismatch(f"expected batch of {INPUT_SHAPE}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteActivation("non-finite values in input window")
-    if hp.n_features == _INPUT_SCALE.shape[0]:
-        x = x * _INPUT_SCALE
+    x = x * _INPUT_SCALE
     p = params.tensors
 
     lin = x @ p["w_in"] + p["b_in"]  # (B, T, J, H)
@@ -183,7 +166,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     q = h @ p["wq"]
     k = h @ p["wk"]
     v = h @ p["wv"]
-    scale = 1.0 / np.sqrt(hp.hidden)
+    scale = 1.0 / np.sqrt(params.hp.hidden)
     scores = np.einsum("bth,bsh->bts", q, k) * scale
     attn = losses.softmax(scores)
     a = np.einsum("bts,bsh->bth", attn, v)
@@ -237,7 +220,6 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     cache = forward_batch(params, x, want_cache=True)
     p = params.tensors
     hidden = hp.hidden
-    b_sz, t_len = cache["h0"].shape[0], cache["h0"].shape[1]
 
     total, components, (d_class_logits, d_state_logits, d_emb) = losses.total_loss(
         cache["class_logits"], cache["state_logits"], cache["embedding"],
@@ -260,13 +242,13 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
 
     # dynamic head
     u_flat = cache["u_cat"].reshape(-1, 2 * hidden)
-    d_state_flat = d_state_logits.reshape(-1, hp.n_states)
+    d_state_flat = d_state_logits.reshape(-1, N_STATES)
     grads["w_state"] = u_flat.T @ d_state_flat
     grads["b_state"] = d_state_flat.sum(axis=0)
     d_u = d_state_logits @ p["w_state"].T  # (B, T, 2H)
 
     # pooled attention output feeds both heads; per-frame slice feeds dynamic
-    d_a = np.repeat(d_g[:, None, :] / t_len, t_len, axis=1) + d_u[..., :hidden]
+    d_a = np.repeat(d_g[:, None, :] / T_WINDOW, T_WINDOW, axis=1) + d_u[..., :hidden]
     d_h0_direct = d_u[..., hidden:]
 
     # attention backward
@@ -289,8 +271,7 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     d_h0 = d_h + d_h0_direct
 
     # joint mean-pool and spatial embedding
-    n_joints = hp.n_joints
-    d_s = np.repeat(d_h0[:, :, None, :] / n_joints, n_joints, axis=2)
+    d_s = np.repeat(d_h0[:, :, None, :] / NUM_JOINTS, NUM_JOINTS, axis=2)
     grads["spatial_embed"] = d_s.sum(axis=(0, 1))
 
     # layer norm (no affine): dr = inv * (dz - mean(dz) - z * mean(dz * z))

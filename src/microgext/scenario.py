@@ -85,7 +85,7 @@ class Scenario:
     fsm_refractory: int = 60
 
     def subject(self) -> SubjectParams:
-        return SubjectParams(subject_id=-1, pose_jitter_std=self.jitter_std, rng_seed=self.seed)
+        return SubjectParams(subject_id=-1, pose_jitter_std=self.jitter_std)
 
     def fsm_config(self) -> FsmConfig:
         return FsmConfig(refractory=self.fsm_refractory)

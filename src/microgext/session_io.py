@@ -5,14 +5,17 @@ formats (.mgd datasets, .mgc checkpoints) store float32 little-endian
 tensors after a JSON header; text formats (.mgs session recordings, .mgr
 reports) are line-delimited with shortest-round-trip float32 rendering.
 Every writer is deterministic byte for byte given equal inputs; checkpoints
-carry a SHA-256 content hash that load verifies. The exact layouts are
+carry a SHA-256 content hash that load verifies. Readers check each header
+against this build and fail only with typed errors. The exact layouts are
 documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -21,7 +24,7 @@ import numpy as np
 from .editor import CommandKind, EditCommand, Granularity
 from .evaluation import EvalReport, render_report
 from .fsm import GestureEvent
-from .network import HyperParams, ModelParams, ShapeMismatch, param_shapes
+from .network import HyperParams, ModelParams
 from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness
 from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip
 
@@ -30,7 +33,8 @@ MGC_MAGIC = b"MGC1"
 MGS_VERSION = 2
 MGL_VERSION = 1
 MGR_VERSION = 1
-FORMAT_VERSION = 1
+MGD_VERSION = 1
+MGC_VERSION = 2
 
 
 class VersionMismatch(ValueError):
@@ -45,6 +49,10 @@ class JointOrderMismatch(ValueError):
     pass
 
 
+class ClassOrderMismatch(ValueError):
+    pass
+
+
 class HashMismatch(ValueError):
     pass
 
@@ -55,7 +63,7 @@ def _write_json_block(fh, obj) -> None:
     fh.write(blob)
 
 
-def _read_json_block(fh):
+def _read_json_block(fh) -> dict:
     raw = fh.read(4)
     if len(raw) != 4:
         raise CorruptRecord("truncated header length")
@@ -63,7 +71,23 @@ def _read_json_block(fh):
     blob = fh.read(n)
     if len(blob) != n:
         raise CorruptRecord("truncated header block")
-    return json.loads(blob.decode("utf-8"))
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptRecord(f"undecodable header block: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CorruptRecord("header block is not a JSON object")
+    return header
+
+
+def _check_header(header: dict, kind: str, version: int) -> None:
+    """The version and the joint and class layouts must match this build."""
+    if header.get("format_version") != version:
+        raise VersionMismatch(f"unsupported {kind} version {header.get('format_version')}")
+    if header.get("joint_order") != list(JOINT_NAMES):
+        raise JointOrderMismatch(f"{kind} joint ordering does not match this build")
+    if header.get("class_names") != list(CLASS_NAMES):
+        raise ClassOrderMismatch(f"{kind} class names do not match this build")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +96,7 @@ def _read_json_block(fh):
 
 def write_dataset(dataset: Dataset, path) -> None:
     header = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MGD_VERSION,
         "frame_rate": FRAME_RATE,
         "joint_order": list(JOINT_NAMES),
         "class_names": list(CLASS_NAMES),
@@ -106,12 +130,13 @@ def read_dataset(path) -> Dataset:
         if magic != MGD_MAGIC:
             raise VersionMismatch(f"not a dataset file (magic {magic!r})")
         header = _read_json_block(fh)
-        if header.get("format_version") != FORMAT_VERSION:
-            raise VersionMismatch(f"unsupported dataset version {header.get('format_version')}")
-        if header.get("joint_order") != list(JOINT_NAMES):
-            raise JointOrderMismatch("dataset joint ordering does not match this build")
+        _check_header(header, "dataset", MGD_VERSION)
+        try:
+            records, master_seed = range(header["n_clips"]), header["generator_seed"]
+        except (KeyError, TypeError) as exc:
+            raise CorruptRecord(f"bad dataset header: {exc!r}") from exc
         clips = []
-        for index in range(header["n_clips"]):
+        for index in records:
             try:
                 head = fh.read(struct.calcsize("<iBBIf"))
                 subject_id, gesture_idx, hand, n, duration = struct.unpack("<iBBIf", head)
@@ -119,19 +144,19 @@ def read_dataset(path) -> Dataset:
                     raise CorruptRecord(f"clip record {index} has class index {gesture_idx}")
                 if hand not in (0, 1):
                     raise CorruptRecord(f"clip record {index} has hand byte {hand}")
-                ts = np.frombuffer(fh.read(4 * n), dtype="<f4").astype(np.float64)
-                pos = np.frombuffer(fh.read(4 * n * NUM_JOINTS * 3), dtype="<f4")
-                ori = np.frombuffer(fh.read(4 * n * NUM_JOINTS * 4), dtype="<f4")
-                sub = np.frombuffer(fh.read(n), dtype=np.uint8)
-                if len(ts) != n or pos.size != n * NUM_JOINTS * 3 or ori.size != n * NUM_JOINTS * 4 or len(sub) != n:
+                sizes = [4 * n, 4 * n * NUM_JOINTS * 3, 4 * n * NUM_JOINTS * 4, n]
+                raw = [fh.read(size) for size in sizes]
+                if [len(r) for r in raw] != sizes:
                     raise CorruptRecord(f"clip record {index} is truncated")
+                ts, pos, ori = (np.frombuffer(r, dtype="<f4") for r in raw[:3])
+                sub = np.frombuffer(raw[3], dtype=np.uint8)
                 clips.append(
                     LabeledClip(
                         gesture=GestureClass(CLASS_NAMES[gesture_idx]),
                         subject_id=subject_id,
                         timestamps=ts,
-                        joint_positions=pos.astype(np.float64).reshape(n, NUM_JOINTS, 3),
-                        joint_orientations=ori.astype(np.float64).reshape(n, NUM_JOINTS, 4),
+                        joint_positions=pos.reshape(n, NUM_JOINTS, 3),
+                        joint_orientations=ori.reshape(n, NUM_JOINTS, 4),
                         substates=sub.copy(),
                         duration=float(np.float32(duration)),
                         handedness=Handedness.RIGHT if hand == 0 else Handedness.LEFT,
@@ -139,7 +164,7 @@ def read_dataset(path) -> Dataset:
                 )
             except struct.error as exc:
                 raise CorruptRecord(f"clip record {index} is truncated") from exc
-    return Dataset(tuple(clips), master_seed=header["generator_seed"])
+    return Dataset(tuple(clips), master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +173,21 @@ def read_dataset(path) -> Dataset:
 
 def _checkpoint_payload(params: ModelParams) -> bytes:
     header = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MGC_VERSION,
         "hyperparams": asdict(params.hp),
         "joint_order": list(JOINT_NAMES),
         "class_names": list(CLASS_NAMES),
         "tau": float(params.tau),
         "tensor_names": sorted(params.tensors),
     }
-    out = bytearray()
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out += struct.pack("<I", len(blob))
-    out += blob
+    out = io.BytesIO()
+    _write_json_block(out, header)
     for name in sorted(params.tensors):
         t = params.tensors[name]
         name_b = name.encode("utf-8")
-        out += struct.pack("<H", len(name_b))
-        out += name_b
-        out += struct.pack("<B", t.ndim)
-        out += struct.pack(f"<{t.ndim}I", *t.shape)
-        out += t.astype("<f4").tobytes()
-    return bytes(out)
+        out.write(struct.pack("<H", len(name_b)) + name_b + struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape))
+        out.write(t.astype("<f4").tobytes())
+    return out.getvalue()
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -189,37 +209,36 @@ def load_checkpoint(path) -> ModelParams:
     if hashlib.sha256(payload).digest() != digest:
         raise HashMismatch("checkpoint content hash does not match")
 
-    offset = 0
-    (hlen,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    header = json.loads(payload[offset : offset + hlen].decode("utf-8"))
-    offset += hlen
-    if header.get("format_version") != FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported checkpoint version {header.get('format_version')}")
-    hp = HyperParams(**header["hyperparams"])
-    shapes = param_shapes(hp)
+    buf = io.BytesIO(payload)
+    header = _read_json_block(buf)
+    _check_header(header, "checkpoint", MGC_VERSION)
+    try:
+        hp = HyperParams(**header["hyperparams"])
+        tau = float(np.float32(header["tau"]))
+        if tau <= 0:
+            raise ValueError(f"temperature {tau} is not positive")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CorruptRecord(f"bad checkpoint header: {exc!r}") from exc
 
-    tensors = {}
-    while offset < len(payload):
-        (nlen,) = struct.unpack_from("<H", payload, offset)
-        offset += 2
-        name = payload[offset : offset + nlen].decode("utf-8")
-        offset += nlen
-        (ndim,) = struct.unpack_from("<B", payload, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", payload, offset)
-        offset += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        if offset + 4 * count > len(payload):
-            raise CorruptRecord(f"tensor {name} is truncated")
-        data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        if name not in shapes or tuple(shape) != shapes[name]:
-            raise ShapeMismatch(f"tensor {name} has shape {tuple(shape)}, expected {shapes.get(name)}")
-        tensors[name] = data.astype(np.float64).reshape(shape)
-    if set(tensors) != set(shapes):
-        raise ShapeMismatch("checkpoint is missing tensors")
-    return ModelParams(hp, tensors, tau=float(np.float32(header["tau"])))
+    read = []
+    try:
+        while buf.tell() < len(payload):
+            (nlen,) = struct.unpack("<H", buf.read(2))
+            name = buf.read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", buf.read(1))
+            shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
+            raw = buf.read(4 * math.prod(shape))
+            if len(raw) != 4 * math.prod(shape):
+                raise CorruptRecord(f"tensor {name} is truncated")
+            read.append((name, np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)))
+    except (struct.error, UnicodeDecodeError, OverflowError) as exc:
+        raise CorruptRecord(f"bad tensor record: {exc}") from exc
+    # one check against the header: no tensor missing, extra, repeated or out of order
+    names = [name for name, _ in read]
+    if names != header.get("tensor_names") or names != sorted(set(names)):
+        raise CorruptRecord("tensor records do not match the header's tensor_names")
+    # ModelParams checks the names and shapes against the architecture
+    return ModelParams(hp, dict(read), tau=tau)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,6 @@ class SubjectParams:
     finger_length_scale: float = 1.0
     pose_jitter_std: float = 0.0015
     tempo_scale: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.finger_length_scale <= 0 or self.tempo_scale <= 0:
@@ -174,15 +173,6 @@ class PoseParams:
     spread: float = 1.0
     thumb_u: float = 0.0
     thumb_w: float = 0.0
-
-    def blend(self, other: "PoseParams", alpha: float) -> "PoseParams":
-        a = 1.0 - alpha
-        return PoseParams(
-            curls=tuple(a * c0 + alpha * c1 for c0, c1 in zip(self.curls, other.curls)),
-            spread=a * self.spread + alpha * other.spread,
-            thumb_u=a * self.thumb_u + alpha * other.thumb_u,
-            thumb_w=a * self.thumb_w + alpha * other.thumb_w,
-        )
 
 
 POSES: dict[str, PoseParams] = {
@@ -516,7 +506,6 @@ def subjects_for(master_seed: int, n_subjects: int) -> list[SubjectParams]:
                 finger_length_scale=float(np.clip(1.0 + 0.05 * rng.normal(), 0.8, 1.2)),
                 pose_jitter_std=float(0.0015 * rng.uniform(0.8, 1.3)),
                 tempo_scale=float(np.clip(1.0 + 0.08 * rng.normal(), 0.75, 1.3)),
-                rng_seed=stable_hash(master_seed, "subject-rng", sid),
             )
         )
     return out

@@ -53,7 +53,8 @@ def featurize_clip(clip: LabeledClip) -> FeaturizedClip:
 
 
 def split_fold(dataset: Dataset, fold_subject: int):
-    """(train, validation, test) clip lists for one held-out subject."""
+    """(train, validation, test) clip lists for one held-out subject; an
+    empty test or validation split raises EmptyFold."""
     test = [c for c in dataset.clips if c.subject_id == fold_subject]
     if not test:
         raise EmptyFold(f"no clips for subject {fold_subject}")
@@ -77,6 +78,8 @@ def split_fold(dataset: Dataset, fold_subject: int):
     if covered != set(GestureClass):
         missing = sorted(g.value for g in set(GestureClass) - covered)
         raise MissingClass(f"training fold lacks classes: {missing}")
+    if not val:
+        raise EmptyFold("no validation clips: every (subject, gesture) group has one repetition")
     return train, val, test
 
 
@@ -169,9 +172,9 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
     train_fc = [featurize_clip(c) for c in train_clips]
     val_fc = [featurize_clip(c) for c in val_clips]
 
-    x_val = np.stack([center_window(fc) for fc in val_fc]) if val_fc else np.empty((0,))
+    x_val = np.stack([center_window(fc) for fc in val_fc])
     yc_val = np.array([fc.class_index for fc in val_fc], dtype=np.int64)
-    ys_val = np.stack([center_states(fc) for fc in val_fc]) if val_fc else np.empty((0,))
+    ys_val = np.stack([center_states(fc) for fc in val_fc])
 
     rng = np.random.Generator(np.random.PCG64(stable_hash(hp.master_seed, "train", fold_subject)))
     params = network.init_params(hp, seed=stable_hash(hp.master_seed, "init", fold_subject))
@@ -193,7 +196,7 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
             epoch_loss += loss * len(idx)
             seen += len(idx)
 
-        val_loss = validation_loss(params, x_val, yc_val, ys_val, hp) if val_fc else epoch_loss / seen
+        val_loss = validation_loss(params, x_val, yc_val, ys_val, hp)
         log.append(
             {"epoch": epoch, "train_loss": epoch_loss / seen, "val_loss": val_loss, "lr": lr}
         )

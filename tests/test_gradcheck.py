@@ -13,6 +13,7 @@ import numpy as np
 
 from microgext import network
 from microgext.network import HyperParams, ModelParams
+from microgext.skeleton import T_WINDOW
 
 EPS = 1e-4
 REL_TOL = 1e-3
@@ -29,7 +30,7 @@ def pick_probe(hp: HyperParams, batch: int, with_pairs: bool):
     for seed in range(200):
         rng = np.random.default_rng(seed)
         params = network.init_params(hp, seed=seed)
-        x = rng.normal(0.0, 0.08, (batch, hp.t_window, hp.n_joints, hp.n_features))
+        x = rng.normal(0.0, 0.08, (batch, *network.INPUT_SHAPE))
         cache = network.forward_batch(params, x, want_cache=True)
         if np.abs(cache["lin"]).min() <= KINK_MARGIN:
             continue
@@ -38,16 +39,15 @@ def pick_probe(hp: HyperParams, batch: int, with_pairs: bool):
         if with_pairs:
             yc = np.asarray([0, 0, 3, 3][:batch])
         else:
-            yc = rng.integers(0, hp.n_classes, batch)
-        ys = rng.integers(0, hp.n_states, (batch, hp.t_window))
+            yc = rng.integers(0, network.N_CLASSES, batch)
+        ys = rng.integers(0, network.N_STATES, (batch, T_WINDOW))
         return params, x, yc, ys
     raise AssertionError("no kink-free probe point found")
 
 
 def numerical_gradients(params: ModelParams, x, yc, ys, hp: HyperParams) -> dict:
     grads = {}
-    for name in network.PARAM_NAMES:
-        base = params.tensors[name]
+    for name, base in params.tensors.items():
         num = np.zeros_like(base)
         it = np.nditer(base, flags=["multi_index"])
         while not it.finished:
@@ -72,7 +72,7 @@ def run_gradcheck(with_pairs: bool) -> dict[str, float]:
     if with_pairs:
         assert comps["contrastive"] > 0.0, "contrastive term must be active"
     numeric = numerical_gradients(params, x, yc, ys, hp)
-    return {name: rel_error(analytic[name], numeric[name]) for name in network.PARAM_NAMES}
+    return {name: rel_error(analytic[name], numeric[name]) for name in params.tensors}
 
 
 def test_gradcheck_all_components_active():

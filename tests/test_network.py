@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from microgext import network
 from microgext.network import (
+    INPUT_SHAPE,
     HyperParams,
     ModelParams,
     NonFiniteActivation,
@@ -31,7 +31,7 @@ def forward_one(params, window):
 
 class TestForward:
     def test_zero_input_shapes_and_normalization(self, params, hp):
-        out = forward_one(params, np.zeros((hp.t_window, hp.n_joints, hp.n_features)))
+        out = forward_one(params, np.zeros(INPUT_SHAPE))
         assert out["class_logits"].shape == (8,)
         assert out["class_probs"].shape == (8,)
         assert out["state_logits"].shape == (20, 5)
@@ -41,13 +41,13 @@ class TestForward:
 
     def test_probs_sum_to_one_random(self, params, hp):
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 0.2, (hp.t_window, hp.n_joints, hp.n_features))
+        x = rng.normal(0, 0.2, INPUT_SHAPE)
         out = forward_one(params, x)
         assert abs(out["class_probs"].sum() - 1.0) < 1e-6
 
     def test_temperature_keeps_argmax_changes_confidence(self, params, hp):
         rng = np.random.default_rng(1)
-        x = rng.normal(0, 0.2, (hp.t_window, hp.n_joints, hp.n_features))
+        x = rng.normal(0, 0.2, INPUT_SHAPE)
         out1 = forward_one(params, x)
         out2 = forward_one(params.with_tau(2.0), x)
         assert np.argmax(out1["class_probs"]) == np.argmax(out2["class_probs"])
@@ -58,7 +58,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         for tau in (0.1, 1.0, 5.0):
             p = params.with_tau(tau)
-            x = rng.normal(0, 0.3, (hp.t_window, hp.n_joints, hp.n_features))
+            x = rng.normal(0, 0.3, INPUT_SHAPE)
             out = forward_one(p, x)
             assert np.argmax(out["class_probs"]) == np.argmax(out["class_logits"])
 
@@ -67,14 +67,14 @@ class TestForward:
             forward_batch(params, np.zeros((1, 19, 11, 7)))
 
     def test_non_finite_input(self, params, hp):
-        x = np.zeros((hp.t_window, hp.n_joints, hp.n_features))
+        x = np.zeros(INPUT_SHAPE)
         x[0, 0, 0] = np.nan
         with pytest.raises(NonFiniteActivation):
             forward_batch(params, x[None])
 
     def test_batch_order_irrelevant_per_sample(self, params, hp):
         rng = np.random.default_rng(3)
-        x = rng.normal(0, 0.2, (5, hp.t_window, hp.n_joints, hp.n_features))
+        x = rng.normal(0, 0.2, (5, *INPUT_SHAPE))
         out = forward_batch(params, x)
         perm = np.array([4, 2, 0, 3, 1])
         out_perm = forward_batch(params, x[perm])
@@ -87,6 +87,11 @@ class TestParams:
     def test_tau_must_be_positive(self, hp, params):
         with pytest.raises(ValueError):
             ModelParams(hp, params.tensors, tau=0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, params, tau):
+        with pytest.raises(NonFiniteActivation):
+            params.with_tau(tau)
 
     def test_tensor_shapes_validated(self, hp, params):
         bad = dict(params.tensors)
@@ -107,5 +112,6 @@ class TestParams:
     def test_init_deterministic(self, hp):
         a = init_params(hp, seed=9)
         b = init_params(hp, seed=9)
-        for name in network.PARAM_NAMES:
+        assert list(a.tensors) == list(b.tensors)
+        for name in a.tensors:
             np.testing.assert_array_equal(a.tensors[name], b.tensors[name])

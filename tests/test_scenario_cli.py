@@ -209,6 +209,33 @@ class TestCli:
         r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
                                       "--config", str(cfg), "--out", str(ds)])
         assert r.exit_code == 2
+        assert "nonsense" in r.output
+
+    @pytest.mark.parametrize("key, value", [("t_window", 20), ("val_fraction", 0.15)])
+    def test_config_rejects_fixed_sizes_and_dead_knobs(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value, "hidden": 8, "max_epochs": 1}))
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "2", "--reps", "2", "--null-reps", "2",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
+                                      "--config", str(cfg), "--out", str(ds)])
+        assert r.exit_code == 2
+        assert key in r.output
+
+    def test_unsplittable_fold_is_a_usage_error(self, tmp_path, ckpt_path):
+        # one repetition per gesture leaves no validation clips; subject 9 does not exist
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "2", "--reps", "1", "--null-reps", "1",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"), "--out", str(ds)])
+        assert r.exit_code == 2, r.output
+        assert "validation" in r.output
+        assert not (ds / "checkpoint.mgc").exists()
+        r = CliRunner().invoke(main, ["eval", "--checkpoint", str(ckpt_path), "--dataset",
+                                      str(ds / "dataset.mgd"), "--fold-subject", "9", "--out", str(ds)])
+        assert r.exit_code == 2, r.output
+        assert "subject 9" in r.output
 
     def test_stream_requires_exactly_one_source(self, ckpt_path):
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path)])

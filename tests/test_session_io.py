@@ -1,19 +1,23 @@
 """File formats: lossless round trips, hash checks, deterministic bytes."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from microgext import network, session_io, synth
+from microgext import network, synth
 from microgext.evaluation import EvalReport
 from microgext.fsm import GestureEvent
+from microgext.network import NonFiniteActivation, ShapeMismatch
 from microgext.session_io import (
+    ClassOrderMismatch,
     CorruptRecord,
     HashMismatch,
     JointOrderMismatch,
-    ShapeMismatch,
     VersionMismatch,
     emit_report,
     load_checkpoint,
@@ -25,9 +29,38 @@ from microgext.session_io import (
     write_session,
 )
 from microgext.skeleton import INDEX_TIP, JOINT_NAMES, NUM_JOINTS
-from microgext.synth import GestureClass, clips_equal
+from microgext.synth import CLASS_NAMES, GestureClass, clips_equal
 
 from .frames import clip_frames
+
+# every error a binary reader may raise; anything else is a reader bug
+TYPED_ERRORS = (
+    VersionMismatch, CorruptRecord, HashMismatch, JointOrderMismatch, ClassOrderMismatch,
+    ShapeMismatch, NonFiniteActivation,
+)
+
+
+def split_header(blob: bytes, start: int):
+    """(bytes before the JSON header, header dict, bytes after it) of a
+    container whose u32 header length sits at ``start``."""
+    (n,) = struct.unpack_from("<I", blob, start)
+    return blob[:start], json.loads(blob[start + 4 : start + 4 + n]), blob[start + 4 + n :]
+
+
+def join_header(head: bytes, header, tail: bytes) -> bytes:
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return head + struct.pack("<I", len(text)) + text + tail
+
+
+def checkpoint_file(path, payload: bytes):
+    """A checkpoint whose hash matches its (possibly crafted) payload."""
+    path.write_bytes(b"MGC1" + hashlib.sha256(payload).digest() + payload)
+    return path
+
+
+def tensor_record(name: str, t: np.ndarray) -> bytes:
+    name_b = name.encode()
+    return struct.pack(f"<H{len(name_b)}sB{t.ndim}I", len(name_b), name_b, t.ndim, *t.shape) + t.astype("<f4").tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +131,59 @@ class TestDataset:
         with pytest.raises(VersionMismatch):
             read_dataset(path)
 
+    def test_reversed_class_names_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mgd"
+        write_dataset(dataset, path)
+        head, header, tail = split_header(path.read_bytes(), 4)
+        header["class_names"] = header["class_names"][::-1]
+        path.write_bytes(join_header(head, header, tail))
+        with pytest.raises(ClassOrderMismatch):
+            read_dataset(path)
+
+    def test_undecodable_header_byte_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mgd"
+        write_dataset(dataset, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b'"Wrist"', b'"Wr\xffst"', 1))
+        with pytest.raises(CorruptRecord, match="undecodable"):
+            read_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def dataset_blob(fuzz_dir):
+    path = fuzz_dir / "small.mgd"
+    write_dataset(synth.make_dataset(1, 1, 1, seed=5), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut=st.integers(0, 10**7))
+def test_truncated_dataset_fails_typed(dataset_blob, fuzz_dir, cut):
+    path = fuzz_dir / "cut.mgd"
+    path.write_bytes(dataset_blob[: cut % len(dataset_blob)])
+    with pytest.raises(TYPED_ERRORS):
+        read_dataset(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3))
+def test_dataset_with_flipped_header_bytes_fails_typed(dataset_blob, fuzz_dir, flips):
+    (n,) = struct.unpack_from("<I", dataset_blob, 4)
+    blob = bytearray(dataset_blob)
+    for offset, mask in flips:
+        blob[offset % (8 + n)] ^= mask
+    path = fuzz_dir / "flipped.mgd"
+    path.write_bytes(bytes(blob))
+    try:
+        read_dataset(path)
+    except TYPED_ERRORS:
+        pass
+
 
 @pytest.fixture(scope="module")
 def f32_params():
@@ -159,6 +245,121 @@ class TestCheckpoint:
         save_checkpoint(params, p1)
         save_checkpoint(params, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_header_has_no_fixed_sizes(self, params, tmp_path):
+        _, header, _ = split_header(save_checkpoint_bytes(params, tmp_path), 36)
+        assert header["format_version"] == 2
+        assert sorted(header["hyperparams"]) == sorted(network.HyperParams.__dataclass_fields__)
+        assert len(header["hyperparams"]) == 13
+
+    @staticmethod
+    def crafted(params, tmp_path, edit, extra_tensors=b""):
+        """Save, apply ``edit`` to the header dict, append ``extra_tensors``
+        and re-hash, so only the loader's own checks can reject the file."""
+        _, header, tail = split_header(save_checkpoint_bytes(params, tmp_path), 36)
+        edit(header)
+        return checkpoint_file(tmp_path / "crafted.mgc", join_header(b"", header, tail + extra_tensors))
+
+    def test_v1_checkpoint_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(format_version=1))
+        with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    def test_reversed_class_names_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(class_names=list(CLASS_NAMES)[::-1]))
+        with pytest.raises(ClassOrderMismatch):
+            load_checkpoint(path)
+
+    def test_reversed_joint_order_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(joint_order=list(JOINT_NAMES)[::-1]))
+        with pytest.raises(JointOrderMismatch):
+            load_checkpoint(path)
+
+    def test_unknown_hyperparameter_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h["hyperparams"].update(t_window=20))
+        with pytest.raises(CorruptRecord, match="t_window"):
+            load_checkpoint(path)
+
+    def test_missing_hyperparams_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.pop("hyperparams"))
+        with pytest.raises(CorruptRecord, match="hyperparams"):
+            load_checkpoint(path)
+
+    def test_short_payload_rejected(self, tmp_path):
+        path = checkpoint_file(tmp_path / "short.mgc", b"\x01\x00")
+        with pytest.raises(CorruptRecord, match="truncated"):
+            load_checkpoint(path)
+
+    def test_repeated_tensor_rejected(self, params, tmp_path):
+        again = tensor_record("b_class", np.ones_like(params.tensors["b_class"]))
+        path = self.crafted(params, tmp_path, lambda h: None, extra_tensors=again)
+        with pytest.raises(CorruptRecord, match="tensor_names"):
+            load_checkpoint(path)
+
+    def test_missing_tensor_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h["tensor_names"].append("w_extra"))
+        with pytest.raises(CorruptRecord, match="tensor_names"):
+            load_checkpoint(path)
+
+    def test_nan_tau_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(tau=float("nan")))
+        with pytest.raises(NonFiniteActivation):
+            load_checkpoint(path)
+
+    def test_negative_tau_rejected(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(tau=-1.0))
+        with pytest.raises(CorruptRecord, match="temperature"):
+            load_checkpoint(path)
+
+
+def save_checkpoint_bytes(params, directory) -> bytes:
+    save_checkpoint(params, directory / "saved.mgc")
+    return (directory / "saved.mgc").read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+HEADER_FIELDS = ["format_version", "hyperparams", "joint_order", "class_names", "tau", "tensor_names"] + [
+    f"hyperparams.{name}" for name in network.HyperParams.__dataclass_fields__
+]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(f32_params, fuzz_dir):
+    return save_checkpoint_bytes(f32_params, fuzz_dir)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, 10**6), rehash=st.booleans())
+def test_truncated_checkpoint_fails_typed(checkpoint_blob, fuzz_dir, cut, rehash):
+    cut %= len(checkpoint_blob)
+    if rehash and cut >= 36:
+        path = checkpoint_file(fuzz_dir / "cut.mgc", checkpoint_blob[36:cut])
+    else:
+        path = fuzz_dir / "cut.mgc"
+        path.write_bytes(checkpoint_blob[:cut])
+    with pytest.raises(TYPED_ERRORS):
+        load_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(HEADER_FIELDS), delete=st.booleans(), value=JSON_VALUES)
+def test_mutated_checkpoint_header_fails_typed(checkpoint_blob, fuzz_dir, field, delete, value):
+    _, header, tail = split_header(checkpoint_blob, 36)
+    *parents, key = field.split(".")
+    target = header[parents[0]] if parents else header
+    if delete:
+        del target[key]
+    else:
+        target[key] = value
+    path = checkpoint_file(fuzz_dir / "mutated.mgc", join_header(b"", header, tail))
+    try:
+        load_checkpoint(path)
+    except TYPED_ERRORS:
+        pass
 
 
 class TestSession:

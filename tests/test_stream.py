@@ -11,7 +11,7 @@ from microgext.synth import POSES, GestureClass, SubjectParams
 
 from .frames import build_frame
 
-CLEAN = SubjectParams(subject_id=0, pose_jitter_std=0.0, rng_seed=0)
+CLEAN = SubjectParams(subject_id=0, pose_jitter_std=0.0)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 

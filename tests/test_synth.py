@@ -134,7 +134,7 @@ class TestSubStateLabels:
     def test_ideal_triangular_swipe_monotone(self, subject):
         # closed-form oracle: build an ideal linear 0 -> 100% -> 0 swipe by
         # placing the thumb exactly on the segment, no jitter
-        clean = SubjectParams(subject_id=0, pose_jitter_std=0.0, rng_seed=0)
+        clean = SubjectParams(subject_id=0, pose_jitter_std=0.0)
         clip = synth_clip(GestureClass.SWIPE, clean, seed=6)
         pos = np.array(clip.joint_positions, copy=True)
         u = np.concatenate([np.linspace(0, 1, 180), np.linspace(1, 0, 180)])

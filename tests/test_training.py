@@ -33,6 +33,11 @@ class TestSplitFold:
         with pytest.raises(EmptyFold):
             split_fold(small_dataset, 99)
 
+    def test_empty_validation_raises(self):
+        # one repetition per (subject, gesture) group leaves nothing to validate on
+        with pytest.raises(EmptyFold, match="validation"):
+            split_fold(synth.make_dataset(2, 1, 1, seed=0), 0)
+
     def test_missing_class_raises(self):
         ds = synth.make_dataset(2, 2, 2, seed=0)
         no_fist = synth.Dataset(
@@ -53,7 +58,7 @@ class TestTraining:
         hp = HyperParams(hidden=16, max_epochs=3, master_seed=8)
         p1, log1 = _train_quiet(ds, 0, hp)
         p2, log2 = _train_quiet(ds, 0, hp)
-        for name in network.PARAM_NAMES:
+        for name in p1.tensors:
             np.testing.assert_array_equal(p1.tensors[name], p2.tensors[name])
         assert log1 == log2
 
@@ -62,7 +67,7 @@ class TestTraining:
         p1, _ = _train_quiet(ds, 0, HyperParams(hidden=16, max_epochs=2, master_seed=8))
         p2, _ = _train_quiet(ds, 0, HyperParams(hidden=16, max_epochs=2, master_seed=9))
         assert any(
-            not np.array_equal(p1.tensors[n], p2.tensors[n]) for n in network.PARAM_NAMES
+            not np.array_equal(p1.tensors[n], p2.tensors[n]) for n in p1.tensors
         )
 
     def test_heldout_accuracy_beats_random(self, tiny_trained, small_dataset):
@@ -77,8 +82,7 @@ class TestTraining:
 
     def test_params_on_float32_grid(self, tiny_trained):
         params, _ = tiny_trained
-        for name in network.PARAM_NAMES:
-            t = params.tensors[name]
+        for name, t in params.tensors.items():
             np.testing.assert_array_equal(t, t.astype(np.float32).astype(np.float64))
 
     def test_plateau_reduces_learning_rate(self):
