@@ -9,7 +9,8 @@ Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
 separate timing file. A --config JSON file can override training
 hyperparameters or FSM fields and is echoed into the output directory.
-Exit codes: 0 ok, 1 failed run assertion, 2 usage error.
+Exit codes: 0 ok, 1 failed run assertion, 2 usage error (including an input
+file that its reader rejects).
 """
 
 from __future__ import annotations
@@ -41,6 +42,27 @@ def _load_config(path):
     hp_kwargs = {k: v for k, v in raw.items() if k in _HP_FIELDS}
     fsm_kwargs = {k: v for k, v in raw.items() if k in _FSM_FIELDS}
     return hp_kwargs, fsm_kwargs
+
+
+# the readers' typed errors for a wrong or corrupt input file
+_BAD_INPUT = (
+    session_io.VersionMismatch,
+    session_io.CorruptRecord,
+    session_io.HashMismatch,
+    session_io.JointOrderMismatch,
+    session_io.ClassOrderMismatch,
+    network.ShapeMismatch,
+    network.NonFiniteActivation,
+    scenario_mod.UnknownScenarioKey,
+)
+
+
+def _read(reader, path):
+    """``reader(path)``, with a bad input file reported as a usage error."""
+    try:
+        return reader(path)
+    except _BAD_INPUT as exc:
+        raise click.UsageError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _split(dataset, fold_subject):
@@ -102,9 +124,12 @@ def cmd_train(dataset_path, fold_subject, seed, config_path, out):
     """Train one leave-one-subject-out fold and write a checkpoint (.mgc)."""
     hp_kwargs, _ = _load_config(config_path)
     hp_kwargs.setdefault("master_seed", seed)
-    hp = network.HyperParams(**hp_kwargs)
+    try:
+        hp = network.HyperParams(**hp_kwargs)
+    except ValueError as exc:
+        raise click.UsageError(f"{config_path}: {exc}") from exc
     out_dir = _prepare_out(out, config_path)
-    dataset = session_io.read_dataset(dataset_path)
+    dataset = _read(session_io.read_dataset, dataset_path)
     _, val_clips, _ = _split(dataset, fold_subject)
 
     t0 = time.perf_counter()
@@ -135,8 +160,8 @@ def cmd_train(dataset_path, fold_subject, seed, config_path, out):
 def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, config_path, out):
     """Evaluate a checkpoint on a held-out subject; writes report.mgr."""
     out_dir = _prepare_out(out, config_path)
-    params = session_io.load_checkpoint(ckpt_path)
-    dataset = session_io.read_dataset(dataset_path)
+    params = _read(session_io.load_checkpoint, ckpt_path)
+    dataset = _read(session_io.read_dataset, dataset_path)
     _, _, test_clips = _split(dataset, fold_subject)
 
     t0 = time.perf_counter()
@@ -166,15 +191,18 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
         raise click.UsageError("provide exactly one of --session or --script")
     _, fsm_kwargs = _load_config(config_path)
     out_dir = _prepare_out(out, config_path)
-    params = session_io.load_checkpoint(ckpt_path)
+    params = _read(session_io.load_checkpoint, ckpt_path)
 
     if script_path is not None:
-        sc = scenario_mod.default_scenario(seed) if script_path == "default" else scenario_mod.load_scenario(script_path)
+        if script_path == "default":
+            sc = scenario_mod.default_scenario(seed)
+        else:
+            sc = _read(scenario_mod.load_scenario, script_path)
         frames, expected = scenario_mod.compile_scenario(sc)
         initial_text, granularity = sc.initial_text, sc.granularity
         cfg = FsmConfig(**fsm_kwargs) if fsm_kwargs else sc.fsm_config()
     else:
-        frames, _ = session_io.read_session(session_path)
+        frames, _ = _read(session_io.read_session, session_path)
         expected = None
         initial_text, granularity = "", Granularity.CHARACTER
         cfg = FsmConfig(**fsm_kwargs)

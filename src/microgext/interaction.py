@@ -81,6 +81,11 @@ def bind_event(event: GestureEvent, ctx: EditorContext, direction: int = 1) -> E
 # Pinch hold
 # ---------------------------------------------------------------------------
 
+def _in_contact(positions: np.ndarray):
+    """Thumb-index tip contact of one frame (J, 3) or of stacked frames (N, J, 3)."""
+    return np.linalg.norm(positions[..., THUMB_TIP, :] - positions[..., INDEX_TIP, :], axis=-1) < PINCH_CONTACT_M
+
+
 def detect_pinch_hold(frames: Sequence[HandFrame]) -> bool:
     """True iff thumb and index tips are in continuous contact (< 1.5 cm)
     over the trailing run of frames spanning at least 2 seconds.
@@ -89,13 +94,10 @@ def detect_pinch_hold(frames: Sequence[HandFrame]) -> bool:
     whole frame periods (contact span plus one median frame gap), so 144
     contact frames at 72 Hz qualify exactly.
     """
-    if len(frames) < 2:
+    if len(frames) < 2 or not _in_contact(frames[-1].positions):
         return False
     ts = np.array([f.timestamp for f in frames])
-    pos = np.stack([f.positions for f in frames])
-    contact = np.linalg.norm(pos[:, THUMB_TIP] - pos[:, INDEX_TIP], axis=1) < PINCH_CONTACT_M
-    if not contact[-1]:
-        return False
+    contact = _in_contact(np.stack([f.positions for f in frames]))
     run_start = len(frames) - 1
     while run_start > 0 and contact[run_start - 1]:
         run_start -= 1

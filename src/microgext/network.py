@@ -15,13 +15,19 @@ come from skeleton, the 8 classes and 5 sub-states from synth):
 The temperature tau only rescales logits for the calibrated probabilities;
 it never changes the argmax and is excluded from gradient-based training.
 
+``joint_stage`` is the frame-local part, from the input to h0. ``forward_batch`` runs
+it on whole windows for training and evaluation; the streaming predictor
+(``stream.ModelPredictor``) runs it on one new frame per push and keeps the
+window's rows itself, with no embedding head.
+
 Reverse-mode gradients are derived manually for this fixed graph; the test
 suite checks every parameter tensor against central finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -68,6 +74,12 @@ class HyperParams:
     master_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation as a string ("int" or "float")
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
             raise ValueError("loss weights must sum to 1")
         for name in ("hidden", "alpha", "beta", "gamma", "learning_rate", "batch_size",
@@ -141,6 +153,24 @@ def _layer_norm(r: np.ndarray):
     return d * inv, inv
 
 
+def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
+    """The frame-local stage: features (..., J, D) to the pooled frame
+    embedding h0 (..., H). Returns h0 with the intermediates the backward
+    pass reads (the scaled input x, lin, r, z, inv).
+
+    Nothing here mixes frames, so a streaming caller runs it on one new
+    frame per push while ``forward_batch`` runs it on whole windows.
+    """
+    x = x * _INPUT_SCALE
+    p = params.tensors
+    lin = x @ p["w_in"] + p["b_in"]  # (..., J, H)
+    r = np.maximum(lin, 0.0)
+    z, inv = _layer_norm(r)
+    s = z + p["spatial_embed"]
+    h0 = s.mean(axis=-2)
+    return {"x": x, "lin": lin, "r": r, "z": z, "inv": inv, "h0": h0}
+
+
 def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     """Run the network on a batch (B, T, J, D).
 
@@ -153,14 +183,9 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
         raise ShapeMismatch(f"expected batch of {INPUT_SHAPE}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise NonFiniteActivation("non-finite values in input window")
-    x = x * _INPUT_SCALE
     p = params.tensors
-
-    lin = x @ p["w_in"] + p["b_in"]  # (B, T, J, H)
-    r = np.maximum(lin, 0.0)
-    z, inv = _layer_norm(r)
-    s = z + p["spatial_embed"]
-    h0 = s.mean(axis=2)  # (B, T, H)
+    stage = joint_stage(params, x)
+    h0 = stage["h0"]  # (B, T, H)
     h = h0 + p["temporal_embed"]
 
     q = h @ p["wq"]
@@ -192,7 +217,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     }
     if want_cache:
         out.update(
-            x=x, lin=lin, r=r, z=z, inv=inv, h0=h0, h=h,
+            stage, h=h,
             q=q, k=k, v=v, attn=attn, a=a, g=g, u_cat=u_cat,
             e_raw=e_raw, e_norms=norms,
         )

@@ -35,7 +35,7 @@ from .interaction import (
     mode_switch_step,
 )
 from .skeleton import HandFrame, Handedness
-from .stream import StreamRuntime, inference_thread_cap, latency_percentiles
+from .stream import LatencyHistogram, StreamRuntime, inference_thread_cap, latency_percentiles
 from .synth import (
     FRAME_RATE,
     POSES,
@@ -272,13 +272,13 @@ class SessionResult:
     command_errors: list[str] = field(default_factory=list)
     final_document: Document | None = None
     right_frames: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
+    latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
     def command_log(self) -> list[tuple[float, EditCommand]]:
         return list(zip(self.command_times, self.commands))
 
     def latency_summary(self) -> dict[str, float]:
-        return latency_percentiles(self.latencies_ms)
+        return latency_percentiles(self.latency)
 
 
 class _SwipeEpisode:
@@ -381,7 +381,7 @@ def run_session(
 
     flush_episode()
     result.final_document = doc
-    result.latencies_ms = runtime.latencies_ms
+    result.latency = runtime.latency
     return result
 
 

@@ -1,10 +1,19 @@
 """Online recognition over a continuous frame stream.
 
-A StreamRuntime owns a ring buffer of the most recent T frames for one
-right-hand stream. Every pushed frame, once the buffer is warm, is
-featurized together with its window, run through the model, and fed to the
-FSM; a GestureEvent comes back on the frame where the FSM fires. Per-call
-wall time is recorded for the latency benchmark.
+A StreamRuntime consumes one right-hand stream. Every pushed frame is
+featurized on its own and handed to the predictor, which keeps what the
+window needs of it; once T frames are in, each push runs the predictor over
+the last T of them and feeds the class probabilities to the FSM. A
+GestureEvent comes back on the frame where the FSM fires. Per-push wall
+time goes to a fixed-bucket latency histogram.
+
+The model's predictor is incremental (Transformer-XL-style state reuse,
+Dai et al. 2019). The per-joint stage is frame-local, and the temporal
+embedding TE enters the attention projections linearly:
+(h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. So a push runs the per-joint stage
+and the three projections on the newest frame only, into rings of the last
+T frames, and a full window costs one T x T attention plus the class and
+sub-state heads. The contrastive embedding head is never computed online.
 
 Each inference also reads the swipe progress u of the newest frame
 (``last_swipe_u``), from which the session runner derives a swipe's
@@ -13,15 +22,18 @@ direction.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 
 from . import losses, network
 from .fsm import FsmConfig, FsmState, GestureEvent, Phase, fsm_step
 from .skeleton import (
-    NUM_JOINTS,
     T_WINDOW,
     HandFrame,
     Handedness,
@@ -35,29 +47,101 @@ class OutOfOrderFrame(ValueError):
     pass
 
 
-def inference_thread_cap():
-    """Context manager pinning BLAS pools to one thread.
+@functools.cache
+def _openblas_thread_calls():
+    """(set, get) thread-count calls of the OpenBLAS that numpy's wheel
+    bundles, or None when that library or its symbols are missing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
 
-    Per-window matrices are small enough that multi-threaded GEMM only adds
-    wake-up stalls (tens of milliseconds at the tail); streaming loops wrap
-    themselves in this to keep per-frame latency flat.
-    """
+
+@contextmanager
+def _one_blas_thread(setter, getter):
+    previous = getter()
+    setter(1)
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - environment without the helper
-        return nullcontext()
-    return threadpool_limits(limits=1, user_api="blas")
+        yield
+    finally:
+        setter(previous)
+
+
+def inference_thread_cap():
+    """Context manager pinning OpenBLAS to one thread, restoring the previous
+    count on exit.
+
+    Per-frame matrices are small enough that multi-threaded BLAS only adds
+    wake-up stalls; streaming loops wrap themselves in this to keep
+    per-frame latency flat. A no-op where numpy's bundled OpenBLAS is not
+    found.
+    """
+    calls = _openblas_thread_calls()
+    return nullcontext() if calls is None else _one_blas_thread(*calls)
 
 
 class ModelPredictor:
-    """Adapts trained ModelParams to the runtime's predictor interface."""
+    """Incremental forward pass of trained ModelParams over a sliding window.
+
+    ``push(features)`` takes one frame's (J, D) features, runs the per-joint
+    stage on it and stores its pooled embedding h0 and the rows h0 @ Wq,
+    h0 @ Wk and h0 @ Wv. ``__call__()`` reads the last T pushed frames (the
+    caller pushes at least T first), adds the (TE @ W) row of each frame's
+    window position, and returns ``(class_probs (8,), state_logits (T, 5))``
+    as ``forward_batch`` would for that window, up to float rounding.
+    """
 
     def __init__(self, params: network.ModelParams):
         self.params = params
+        p = params.tensors
+        hidden = params.hp.hidden
+        te = p["temporal_embed"]
+        self._te_qkv = np.concatenate([te @ p["wq"], te @ p["wk"], te @ p["wv"]], axis=1)  # (T, 3H)
+        self._scale = 1.0 / np.sqrt(hidden)
+        # each ring stores a frame's row twice, at slots i and i + T, so the
+        # last T frames in time order are always the view [next, next + T)
+        self._h0 = np.zeros((2 * T_WINDOW, hidden))
+        self._qkv = np.zeros((2 * T_WINDOW, 3 * hidden))
+        self._next = 0
 
-    def __call__(self, window: np.ndarray):
-        out = network.forward_batch(self.params, window[None])
-        return out["class_probs"][0], out["state_logits"][0]
+    def push(self, features: np.ndarray) -> None:
+        if features.shape != network.INPUT_SHAPE[1:]:
+            raise network.ShapeMismatch(f"expected frame features {network.INPUT_SHAPE[1:]}, got {features.shape}")
+        p = self.params.tensors
+        hidden = self.params.hp.hidden
+        h0 = network.joint_stage(self.params, features)["h0"]
+        i = self._next
+        row = self._qkv[i]
+        np.matmul(h0, p["wq"], out=row[:hidden])
+        np.matmul(h0, p["wk"], out=row[hidden : 2 * hidden])
+        np.matmul(h0, p["wv"], out=row[2 * hidden :])
+        self._qkv[i + T_WINDOW] = row
+        self._h0[i] = self._h0[i + T_WINDOW] = h0
+        self._next = (i + 1) % T_WINDOW
+
+    def __call__(self):
+        p = self.params.tensors
+        hidden = self.params.hp.hidden
+        n = self._next
+        qkv = self._qkv[n : n + T_WINDOW] + self._te_qkv
+        q, k, v = qkv[:, :hidden], qkv[:, hidden : 2 * hidden], qkv[:, 2 * hidden :]
+        attn = losses.softmax((q @ k.T) * self._scale)
+        a = attn @ v
+        class_logits = a.mean(axis=0) @ p["w_class"] + p["b_class"]
+        u_cat = np.concatenate([a, self._h0[n : n + T_WINDOW]], axis=-1)
+        state_logits = u_cat @ p["w_state"] + p["b_state"]
+        if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
+            raise network.NonFiniteActivation("non-finite activations in streaming forward")
+        return losses.softmax(class_logits / self.params.tau), state_logits
 
 
 def swipe_progress(state_logits: np.ndarray):
@@ -77,8 +161,36 @@ def swipe_progress(state_logits: np.ndarray):
     return float((sub / total) @ np.arange(4) / 3.0)
 
 
+class LatencyHistogram:
+    """Counts of per-frame latencies in fixed log buckets, so a stream of
+    any length is summarized in constant memory.
+
+    Bucket i holds latencies in (LO_MS * RATIO**(i-1), LO_MS * RATIO**i] ms,
+    from 1 us to 10 s at ratio 1.02; bucket 0 takes everything at or below
+    1 us and the last bucket everything above its lower edge.
+    """
+
+    RATIO = 1.02
+    LO_MS = 1e-3
+    HI_MS = 1e4
+    N_BUCKETS = math.ceil(math.log(HI_MS / LO_MS) / math.log(RATIO)) + 1
+
+    def __init__(self):
+        self.counts = [0] * self.N_BUCKETS
+        self.count = 0
+
+    def record(self, ms: float) -> None:
+        i = 0 if ms <= self.LO_MS else math.ceil(math.log(ms / self.LO_MS) / math.log(self.RATIO))
+        self.counts[min(i, self.N_BUCKETS - 1)] += 1
+        self.count += 1
+
+
 class StreamRuntime:
-    """Single-consumer online recognizer for one hand stream."""
+    """Single-consumer online recognizer for one hand stream.
+
+    ``predictor`` is ModelParams (wrapped in a ModelPredictor) or any object
+    with ``push(features)`` and ``__call__() -> (class_probs, state_logits)``.
+    """
 
     def __init__(self, predictor, cfg: FsmConfig | None = None):
         if isinstance(predictor, network.ModelParams):
@@ -87,18 +199,17 @@ class StreamRuntime:
         self.cfg = cfg or FsmConfig()
         self.state = FsmState.initial()
         self.last_timestamp: float | None = None
-        self.latencies_ms: list[float] = []
+        self.latency = LatencyHistogram()
         self.last_swipe_u: float | None = None
         self._streak_confidences: list[float] = []
-        # rolling joint arrays of the last T frames, so each push stacks
-        # nothing but the newest frame (keeps per-frame latency flat)
-        self._pos_ring = np.zeros((T_WINDOW, NUM_JOINTS, 3))
-        self._ori_ring = np.zeros((T_WINDOW, NUM_JOINTS, 4))
-        self._ring_next = 0
-        self._ring_count = 0
+        self._pushes = 0
 
     def push_frame(self, frame: HandFrame) -> GestureEvent | None:
-        """Ingest one frame; returns an event iff the FSM fires on it."""
+        """Ingest one frame; returns an event iff the FSM fires on it.
+
+        The first T_WINDOW pushes (warm-up plus the first inference) are
+        left out of the latency histogram.
+        """
         start = time.perf_counter()
         if frame.handedness is not Handedness.RIGHT:
             raise MixedHandedness("runtime consumes a right-hand stream")
@@ -107,17 +218,12 @@ class StreamRuntime:
                 f"timestamp {frame.timestamp} not after {self.last_timestamp}"
             )
         self.last_timestamp = frame.timestamp
-        self._pos_ring[self._ring_next] = frame.positions
-        self._ori_ring[self._ring_next] = frame.orientations
-        self._ring_next = (self._ring_next + 1) % T_WINDOW
-        self._ring_count = min(self._ring_count + 1, T_WINDOW)
-        if self._ring_count < T_WINDOW:
-            self.latencies_ms.append((time.perf_counter() - start) * 1e3)
+        self.predictor.push(features_from_arrays(frame.positions, frame.orientations))
+        self._pushes += 1
+        if self._pushes < T_WINDOW:
             return None
 
-        order = (np.arange(T_WINDOW) + self._ring_next) % T_WINDOW
-        window = features_from_arrays(self._pos_ring[order], self._ori_ring[order])
-        probs, state_logits = self.predictor(window)
+        probs, state_logits = self.predictor()
         self.last_swipe_u = swipe_progress(state_logits)
         self.state, fired = fsm_step(self.state, probs, self.cfg)
 
@@ -137,17 +243,28 @@ class StreamRuntime:
         else:
             self._streak_confidences = []
 
-        self.latencies_ms.append((time.perf_counter() - start) * 1e3)
+        if self._pushes > T_WINDOW:
+            self.latency.record((time.perf_counter() - start) * 1e3)
         return event
 
 
-def latency_percentiles(latencies_ms: list[float], warmup: int = T_WINDOW) -> dict[str, float]:
-    """p50/p95/p99 of per-frame latency, excluding buffer warm-up calls."""
-    samples = np.asarray(latencies_ms[warmup:])
-    if len(samples) == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    return {
-        "p50": float(np.percentile(samples, 50)),
-        "p95": float(np.percentile(samples, 95)),
-        "p99": float(np.percentile(samples, 99)),
-    }
+def latency_percentiles(histogram: LatencyHistogram) -> dict[str, float]:
+    """Nearest-rank p50/p95/p99 of a latency histogram, in ms.
+
+    Each percentile reads the upper edge of the bucket holding the
+    nearest-rank sample, so it is never below that sample and at most 2 %
+    above it (latencies beyond the 10 s range read the top bucket's edge).
+    """
+    quantiles = {"p50": 50, "p95": 95, "p99": 99}
+    out = dict.fromkeys(quantiles, 0.0)
+    if histogram.count == 0:
+        return out
+    pending = list(quantiles.items())  # in increasing order
+    seen = 0
+    for i, c in enumerate(histogram.counts):
+        seen += c
+        while pending and seen * 100 >= pending[0][1] * histogram.count:
+            out[pending.pop(0)[0]] = histogram.LO_MS * histogram.RATIO**i
+        if not pending:
+            break
+    return out

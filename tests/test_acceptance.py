@@ -275,7 +275,7 @@ def test_criterion_8_realtime_budget():
     with stream.inference_thread_cap():
         for frame in right:
             runtime.push_frame(frame)
-    stats = stream.latency_percentiles(runtime.latencies_ms)
+    stats = stream.latency_percentiles(runtime.latency)
     ok = stats["p99"] < FRAME_BUDGET_MS
     report_line(
         8, "real-time budget", ok,

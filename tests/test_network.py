@@ -109,6 +109,18 @@ class TestParams:
         with pytest.raises(ValueError):
             HyperParams(alpha=0.5, beta=0.2, gamma=0.2)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "learning_rate", "contrastive_temperature"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight_rate_or_temperature_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["hidden", "batch_size", "plateau_patience", "max_epochs", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "8"])
+    def test_non_int_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**{field: value})
+
     def test_init_deterministic(self, hp):
         a = init_params(hp, seed=9)
         b = init_params(hp, seed=9)

@@ -137,18 +137,23 @@ class TestRunSessionWithStub:
         frames, _ = compile_scenario(sc)
         n_right = sum(1 for f in frames if f.handedness is Handedness.RIGHT)
         fist_at = range(70, 95)
-        calls = {"i": 0}
 
-        def predictor(window):
-            i = calls["i"]
-            calls["i"] += 1
-            probs = np.full(8, 0.05 / 7)
-            target = CLASS_NAMES.index("Fist") if i in fist_at else CLASS_NAMES.index("Null")
-            probs[target] = 0.95
-            probs /= probs.sum()
-            return probs, np.zeros((20, 5))
+        class Predictor:
+            calls = 0
 
-        result = run_session(predictor, frames, initial_text=sc.initial_text, granularity=sc.granularity)
+            def push(self, features):
+                pass
+
+            def __call__(self):
+                i = self.calls
+                self.calls += 1
+                probs = np.full(8, 0.05 / 7)
+                target = CLASS_NAMES.index("Fist") if i in fist_at else CLASS_NAMES.index("Null")
+                probs[target] = 0.95
+                probs /= probs.sum()
+                return probs, np.zeros((20, 5))
+
+        result = run_session(Predictor(), frames, initial_text=sc.initial_text, granularity=sc.granularity)
         assert [e.gesture for e in result.events] == [GestureClass.FIST]
         # Delete without a selection surfaces as a recorded error, not a crash
         assert result.command_errors and "Delete" in result.command_errors[0]
@@ -236,6 +241,45 @@ class TestCli:
                                       str(ds / "dataset.mgd"), "--fold-subject", "9", "--out", str(ds)])
         assert r.exit_code == 2, r.output
         assert "subject 9" in r.output
+
+    def test_train_bad_dataset_is_a_usage_error(self, tmp_path):
+        bad = tmp_path / "garbage.mgd"
+        bad.write_bytes(b"not a dataset at all")
+        r = CliRunner().invoke(main, ["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "garbage.mgd" in r.output and "VersionMismatch" in r.output
+
+    def test_eval_bad_checkpoint_is_a_usage_error(self, tmp_path, ckpt_path):
+        bad = tmp_path / "flipped.mgc"
+        raw = bytearray(ckpt_path.read_bytes())
+        raw[-1] ^= 0xFF  # the content hash no longer matches
+        bad.write_bytes(bytes(raw))
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "1", "--reps", "1", "--null-reps", "1",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["eval", "--checkpoint", str(bad), "--dataset", str(ds / "dataset.mgd"),
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "flipped.mgc" in r.output and "HashMismatch" in r.output
+
+    def test_stream_bad_checkpoint_is_a_usage_error(self, tmp_path):
+        bad = tmp_path / "garbage.mgc"
+        bad.write_bytes(b"\x00" * 64)
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(bad), "--script", "default",
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "garbage.mgc" in r.output and "VersionMismatch" in r.output
+
+    def test_config_with_non_finite_weight_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": NaN}')
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "1", "--reps", "1", "--null-reps", "1",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
+                                      "--config", str(cfg), "--out", str(ds)])
+        assert r.exit_code == 2, r.output
+        assert "alpha" in r.output
 
     def test_stream_requires_exactly_one_source(self, ckpt_path):
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path)])

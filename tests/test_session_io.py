@@ -306,6 +306,12 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteActivation):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value", [("alpha", float("nan")), ("hidden", 16.0), ("batch_size", True)])
+    def test_invalid_hyperparameter_value_rejected(self, params, tmp_path, field, value):
+        path = self.crafted(params, tmp_path, lambda h: h["hyperparams"].update({field: value}))
+        with pytest.raises(CorruptRecord, match=field):
+            load_checkpoint(path)
+
     def test_negative_tau_rejected(self, params, tmp_path):
         path = self.crafted(params, tmp_path, lambda h: h.update(tau=-1.0))
         with pytest.raises(CorruptRecord, match="temperature"):
