@@ -7,10 +7,11 @@ a scripted scenario through the online recognizer and editor).
 
 Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
-separate timing file. A --config JSON file can override training
-hyperparameters or FSM fields and is echoed into the output directory.
-Exit codes: 0 ok, 1 failed run assertion, 2 usage error (including an input
-file that its reader rejects).
+separate timing file. For train and stream, a --config JSON file can
+override training hyperparameters or FSM fields and is echoed into the
+output directory. Exit codes: 0 ok, 1 failed run assertion, 2 usage error
+(including an input file that its reader rejects, such as a malformed
+scenario script).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _BAD_INPUT = (
     session_io.ClassOrderMismatch,
     network.ShapeMismatch,
     network.NonFiniteActivation,
-    scenario_mod.UnknownScenarioKey,
+    scenario_mod.BadScenario,
 )
 
 
@@ -72,7 +73,7 @@ def _split(dataset, fold_subject):
         raise click.UsageError(str(exc)) from exc
 
 
-def _prepare_out(out, config_path) -> Path:
+def _prepare_out(out, config_path=None) -> Path:
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config_path is not None:
@@ -96,11 +97,10 @@ def main():
 @click.option("--reps", default=20, show_default=True)
 @click.option("--null-reps", default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default="out", show_default=True, help="Output directory.")
-def cmd_synth(n_subjects, reps, null_reps, seed, config_path, out):
+def cmd_synth(n_subjects, reps, null_reps, seed, out):
     """Generate a synthetic labeled dataset (.mgd) and print its histogram."""
-    out_dir = _prepare_out(out, config_path)
+    out_dir = _prepare_out(out)
     t0 = time.perf_counter()
     dataset = synth.make_dataset(n_subjects, reps, null_reps, seed=seed)
     path = out_dir / "dataset.mgd"
@@ -155,11 +155,10 @@ def cmd_train(dataset_path, fold_subject, seed, config_path, out):
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
 @click.option("--fold-subject", default=0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default="out", show_default=True)
-def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, config_path, out):
+def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, out):
     """Evaluate a checkpoint on a held-out subject; writes report.mgr."""
-    out_dir = _prepare_out(out, config_path)
+    out_dir = _prepare_out(out)
     params = _read(session_io.load_checkpoint, ckpt_path)
     dataset = _read(session_io.read_dataset, dataset_path)
     _, _, test_clips = _split(dataset, fold_subject)

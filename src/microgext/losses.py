@@ -6,8 +6,8 @@ contrastive term over in-batch pairs. Cross-entropies are computed on
 pre-temperature logits; the temperature is fit post hoc by calibration and
 never participates in training.
 
-Each term also exposes its gradient w.r.t. its input, which the network's
-hand-written backward pass consumes.
+Each term returns (loss, gradient w.r.t. its input), and total_loss returns
+(total, components, gradients) for the network's hand-written backward pass.
 """
 
 from __future__ import annotations
@@ -55,34 +55,28 @@ def contrastive_loss(
     embeddings: np.ndarray,
     class_labels: np.ndarray,
     temperature: float = 0.1,
-    return_grad: bool = False,
-):
+) -> tuple[float, np.ndarray]:
     """Supervised NT-Xent over in-batch pairs of L2-normalized embeddings.
 
     For each anchor i the positives are the same-class samples j != i:
 
         L_i = -log( sum_pos exp(sim/kappa) / sum_{j != i} exp(sim/kappa) )
 
-    with sim the dot product. Anchors with no positive are skipped; when no
-    anchor has one, the loss is 0 and a BatchTooSmallForContrastive warning
-    is emitted.
+    with sim the dot product. Returns (loss, dloss/dembeddings). Anchors with
+    no positive are skipped; when no anchor has one (as in a batch of one),
+    loss and gradient are 0 and a BatchTooSmallForContrastive warning is
+    emitted.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(class_labels)
-    b = e.shape[0]
-    if b < 2:
-        raise ValueError("contrastive loss needs a batch of at least 2")
-
     sims = (e @ e.T) / temperature
-    eye = np.eye(b, dtype=bool)
+    eye = np.eye(len(e), dtype=bool)
     pos = (y[:, None] == y[None, :]) & ~eye
     valid = pos.any(axis=1)
     n_valid = int(valid.sum())
     if n_valid == 0:
         warnings.warn("no positive pair in batch; contrastive term set to 0", BatchTooSmallForContrastive)
-        if return_grad:
-            return 0.0, np.zeros_like(e)
-        return 0.0
+        return 0.0, np.zeros_like(e)
 
     neg_inf = -np.inf
     all_logits = np.where(eye, neg_inf, sims)
@@ -94,8 +88,6 @@ def contrastive_loss(
 
     loss_rows = _lse(all_logits[valid]) - _lse(pos_logits[valid])
     loss = float(loss_rows.mean())
-    if not return_grad:
-        return loss
 
     # dL/dsims: softmax over all non-self minus softmax over positives,
     # per valid anchor, averaged
@@ -115,27 +107,18 @@ def total_loss(
     class_labels: np.ndarray,
     state_labels: np.ndarray,
     hp,
-    return_grads: bool = False,
 ):
     """Weighted sum of the three terms.
 
-    Returns (loss, components) or, with return_grads, additionally the
-    gradients w.r.t. (class_logits, state_logits, embeddings), each already
-    scaled by its loss weight.
+    Returns (loss, components, grads): components maps "class", "state" and
+    "contrastive" to the unweighted terms, and grads holds the gradients
+    w.r.t. (class_logits, state_logits, embeddings), each already scaled by
+    its loss weight.
     """
-    b = class_logits.shape[0]
     l_class, d_class = cross_entropy(class_logits, class_labels)
     l_state, d_state = cross_entropy(state_logits, state_labels)
-    if b >= 2:
-        l_contr, d_emb = contrastive_loss(
-            embeddings, class_labels, hp.contrastive_temperature, return_grad=True
-        )
-    else:
-        warnings.warn("batch of 1: contrastive term set to 0", BatchTooSmallForContrastive)
-        l_contr, d_emb = 0.0, np.zeros_like(embeddings)
+    l_contr, d_emb = contrastive_loss(embeddings, class_labels, hp.contrastive_temperature)
 
     total = hp.alpha * l_class + hp.beta * l_state + hp.gamma * l_contr
     components = {"class": l_class, "state": l_state, "contrastive": l_contr}
-    if not return_grads:
-        return total, components
     return total, components, (hp.alpha * d_class, hp.beta * d_state, hp.gamma * d_emb)

@@ -156,7 +156,7 @@ def _layer_norm(r: np.ndarray):
 def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     """The frame-local stage: features (..., J, D) to the pooled frame
     embedding h0 (..., H). Returns h0 with the intermediates the backward
-    pass reads (the scaled input x, lin, r, z, inv).
+    pass reads (the scaled input x, lin, z, inv).
 
     Nothing here mixes frames, so a streaming caller runs it on one new
     frame per push while ``forward_batch`` runs it on whole windows.
@@ -164,11 +164,10 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     x = x * _INPUT_SCALE
     p = params.tensors
     lin = x @ p["w_in"] + p["b_in"]  # (..., J, H)
-    r = np.maximum(lin, 0.0)
-    z, inv = _layer_norm(r)
+    z, inv = _layer_norm(np.maximum(lin, 0.0))
     s = z + p["spatial_embed"]
     h0 = s.mean(axis=-2)
-    return {"x": x, "lin": lin, "r": r, "z": z, "inv": inv, "h0": h0}
+    return {"x": x, "lin": lin, "z": z, "inv": inv, "h0": h0}
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
@@ -216,11 +215,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
         "embedding": embedding,
     }
     if want_cache:
-        out.update(
-            stage, h=h,
-            q=q, k=k, v=v, attn=attn, a=a, g=g, u_cat=u_cat,
-            e_raw=e_raw, e_norms=norms,
-        )
+        out.update(stage, h=h, q=q, k=k, v=v, attn=attn, g=g, u_cat=u_cat, e_norms=norms)
     return out
 
 
@@ -228,7 +223,7 @@ def batch_loss(params: ModelParams, x, class_labels, state_labels, hp: HyperPara
     """Total training loss of a batch; the finite-difference tests probe this."""
     out = forward_batch(params, x)
     with np.errstate(all="raise"):
-        total, _ = losses.total_loss(
+        total, _, _ = losses.total_loss(
             out["class_logits"], out["state_logits"], out["embedding"],
             class_labels, state_labels, hp,
         )
@@ -247,8 +242,7 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     hidden = hp.hidden
 
     total, components, (d_class_logits, d_state_logits, d_emb) = losses.total_loss(
-        cache["class_logits"], cache["state_logits"], cache["embedding"],
-        class_labels, state_labels, hp, return_grads=True,
+        cache["class_logits"], cache["state_logits"], cache["embedding"], class_labels, state_labels, hp
     )
 
     grads = {}
@@ -273,7 +267,7 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     d_u = d_state_logits @ p["w_state"].T  # (B, T, 2H)
 
     # pooled attention output feeds both heads; per-frame slice feeds dynamic
-    d_a = np.repeat(d_g[:, None, :] / T_WINDOW, T_WINDOW, axis=1) + d_u[..., :hidden]
+    d_a = d_g[:, None, :] / T_WINDOW + d_u[..., :hidden]
     d_h0_direct = d_u[..., hidden:]
 
     # attention backward
@@ -295,13 +289,13 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     grads["temporal_embed"] = d_h.sum(axis=0)
     d_h0 = d_h + d_h0_direct
 
-    # joint mean-pool and spatial embedding
-    d_s = np.repeat(d_h0[:, :, None, :] / NUM_JOINTS, NUM_JOINTS, axis=2)
-    grads["spatial_embed"] = d_s.sum(axis=(0, 1))
+    # joint mean-pool and spatial embedding: every joint of a frame gets the
+    # same gradient, d_z (B, T, 1, H), broadcast over the joint axis
+    z, inv = cache["z"], cache["inv"]
+    d_z = d_h0[:, :, None, :] / NUM_JOINTS
+    grads["spatial_embed"] = np.broadcast_to(d_z, z.shape).sum(axis=(0, 1))
 
     # layer norm (no affine): dr = inv * (dz - mean(dz) - z * mean(dz * z))
-    z, inv = cache["z"], cache["inv"]
-    d_z = d_s
     d_r = inv * (d_z - d_z.mean(axis=-1, keepdims=True) - z * (d_z * z).mean(axis=-1, keepdims=True))
     d_lin = d_r * (cache["lin"] > 0.0)
 

@@ -17,6 +17,8 @@ the document in timestamp order.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
@@ -94,46 +96,69 @@ class Scenario:
         return EditorContext()
 
 
-class UnknownScenarioKey(ValueError):
+class BadScenario(ValueError):
+    """A scenario script or Scenario that cannot be compiled."""
+
+
+class UnknownScenarioKey(BadScenario):
     pass
 
 
-def _reject_unknown_keys(raw: dict, cls, where: str) -> None:
+_STEP_KINDS = ("rest", "gesture", "swipe", "pinch_hold", "mode_switch")
+_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
+
+
+def _check(obj, where: str) -> None:
+    """Scalar fields must have their annotated type, numbers must be finite
+    and not negative, and each step must be a kind that compiles."""
+    for f in fields(obj):
+        value, want = getattr(obj, f.name), _FIELD_TYPES.get(f.type)
+        if want is not None and (isinstance(value, bool) or not isinstance(value, want)):
+            raise BadScenario(f"{where}: {f.name} must be {f.type}, got {value!r}")
+        if want in (numbers.Integral, numbers.Real) and not (math.isfinite(value) and value >= 0):
+            raise BadScenario(f"{where}: {f.name} must be finite and not negative, got {value!r}")
+    if isinstance(obj, Scenario):
+        for i, step in enumerate(obj.steps):
+            _check(step, f"step {i}")
+    elif obj.kind not in _STEP_KINDS:
+        raise BadScenario(f"{where}: unknown kind {obj.kind!r}, expected one of {_STEP_KINDS}")
+    elif obj.kind == "gesture" and obj.gesture not in STATIC_POSE_BY_GESTURE:
+        names = [g.value for g in STATIC_POSE_BY_GESTURE]
+        raise BadScenario(f"{where}: a gesture step needs a gesture in {names}, got {obj.gesture}")
+    elif obj.kind == "mode_switch" and obj.mode is None:
+        raise BadScenario(f"{where}: a mode_switch step needs a mode")
+
+
+def _build(cls, raw, where: str, **enums):
+    """``cls`` from a JSON object: absent keys take the field defaults, and
+    ``enums`` names the Enum that parses a key's value."""
+    if not isinstance(raw, dict):
+        raise BadScenario(f"{where} must be a JSON object, got {raw!r}")
     unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise UnknownScenarioKey(f"unknown {where} keys: {sorted(unknown)}")
+    try:
+        return cls(**{k: enums[k](v) if k in enums else v for k, v in raw.items()})
+    except (TypeError, ValueError) as exc:  # a required key is missing or a value is no member
+        raise BadScenario(f"{where}: {exc}") from None
 
 
 def load_scenario(path) -> Scenario:
-    """Parse a scenario script; keys that no Scenario or ScenarioStep field
-    takes are rejected, so a misspelt or retired key never goes unnoticed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    _reject_unknown_keys(raw, Scenario, "scenario")
-    steps = []
-    for s in raw.get("steps", []):
-        _reject_unknown_keys(s, ScenarioStep, "step")
-        steps.append(
-            ScenarioStep(
-                kind=s["kind"],
-                gesture=GestureClass(s["gesture"]) if "gesture" in s else None,
-                mode=Granularity(s["mode"]) if "mode" in s else None,
-                duration=s.get("duration", 0.5),
-                hold=s.get("hold", 0.35),
-                u_from=s.get("u_from", 0.05),
-                u_to=s.get("u_to", 0.65),
-                move_time=s.get("move_time", 0.35),
-                pre_rest=s.get("pre_rest", 0.8),
-            )
-        )
-    return Scenario(
-        initial_text=raw["initial_text"],
-        granularity=Granularity(raw.get("granularity", "Character")),
-        seed=raw.get("seed", 7),
-        steps=tuple(steps),
-        jitter_std=raw.get("jitter_std", 0.0006),
-        fsm_refractory=raw.get("fsm_refractory", 60),
-    )
+    """Parse a scenario script. Absent keys take the Scenario and
+    ScenarioStep defaults; a script that cannot be compiled (including a
+    misspelt or retired key) raises BadScenario."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise BadScenario(str(exc)) from exc
+    if not isinstance(raw, dict) or not isinstance(raw.get("steps", []), list):
+        raise BadScenario("a scenario is a JSON object whose steps are a list")
+    steps = tuple(_build(ScenarioStep, s, f"step {i}", gesture=GestureClass, mode=Granularity)
+                  for i, s in enumerate(raw.get("steps", [])))
+    sc = _build(Scenario, dict(raw, steps=steps), "scenario", granularity=Granularity)
+    _check(sc, "scenario")
+    return sc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
@@ -173,6 +198,7 @@ def compile_scenario(sc: Scenario):
     sorted by timestamp; expected is the list of EditCommands the session
     should produce (one unit per swipe, signed by its scripted direction).
     """
+    _check(sc, "scenario")
     rest = POSES["rest"]
     tracks: list[PoseTrack] = []
     left_segments = []  # (start frame, menu frames, spread frames, target mode)
@@ -229,8 +255,6 @@ def compile_scenario(sc: Scenario):
             left_segments.append((n_total, n_menu, n_spread, step.mode))
             extend_const(rest, n_menu + n_spread)
             expected.append(EditCommand.set_granularity(step.mode))
-        else:
-            raise ValueError(f"unknown scenario step kind {step.kind!r}")
     extend_const(rest, _frames(1.0))
     return _assemble(sc, tracks, left_segments, expected)
 

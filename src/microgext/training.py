@@ -99,26 +99,29 @@ def _batches(n: int, batch_size: int, order=None):
         yield idx[i : i + batch_size]
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Plain Adam (b1 = 0.9, b2 = 0.999, eps = 1e-8)."""
+    """Plain Adam with the ADAM_B1, ADAM_B2 and ADAM_EPS constants."""
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.t = 0
 
-    def step(self, tensors, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    def step(self, tensors, grads, lr):
         self.t += 1
-        bc1 = 1.0 - b1**self.t
-        bc2 = 1.0 - b2**self.t
+        bc1 = 1.0 - ADAM_B1**self.t
+        bc2 = 1.0 - ADAM_B2**self.t
         out = {}
         for name, value in tensors.items():
             g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            self.m[name] = ADAM_B1 * self.m[name] + (1.0 - ADAM_B1) * g
+            self.v[name] = ADAM_B2 * self.v[name] + (1.0 - ADAM_B2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            out[name] = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            out[name] = value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         return out
 
 
@@ -142,7 +145,7 @@ def validation_loss(params: ModelParams, x_val, yc_val, ys_val, hp: HyperParams)
         out = network.forward_batch(params, x_val[idx])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", losses.BatchTooSmallForContrastive)
-            loss, _ = losses.total_loss(
+            loss, _, _ = losses.total_loss(
                 out["class_logits"], out["state_logits"], out["embedding"],
                 yc_val[idx], ys_val[idx], hp,
             )

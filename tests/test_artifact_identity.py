@@ -1,0 +1,39 @@
+"""tools/artifact_identity.py: one tree against itself, and difference reporting."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "artifact_identity.py"
+
+
+@pytest.fixture(scope="module")
+def identity_tool():
+    spec = importlib.util.spec_from_file_location("artifact_identity", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_against_itself_is_identical(identity_tool, capsys):
+    assert identity_tool.main([str(ROOT / "src"), str(ROOT / "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("same") for line in lines[:-1])
+    n_rows = len(identity_tool.commands(Path("."), None)) + len(identity_tool.artifacts())
+    assert lines[-1] == f"{n_rows} of {n_rows} identical"
+
+
+def test_differences_are_reported(identity_tool, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        for name in identity_tool.artifacts():
+            (side / name).parent.mkdir(parents=True, exist_ok=True)
+            (side / name).write_bytes(b"same bytes")
+    (change / "checkpoint.mgc").write_bytes(b"other bytes")
+    (parent / "stream-9" / "events.json").unlink()
+    (change / "stream-9" / "events.json").unlink()
+    rows = dict(identity_tool.compare(parent, change, {"train": 0, "eval": 0}, {"train": 0, "eval": 2}))
+    differing = sorted(label for label, same in rows.items() if not same)
+    assert differing == ["checkpoint.mgc", "exit eval 0 2", "stream-9/events.json"]

@@ -41,7 +41,7 @@ class TestCrossEntropy:
 class TestContrastive:
     def test_two_identical_same_class_is_zero(self):
         e = np.tile(np.array([1.0, 0.0, 0.0]), (2, 1))
-        loss = losses.contrastive_loss(e, np.array([1, 1]), temperature=0.1)
+        loss, _ = losses.contrastive_loss(e, np.array([1, 1]), temperature=0.1)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_all_distinct_classes_warns_and_zero(self):
@@ -49,12 +49,16 @@ class TestContrastive:
         e = rng.normal(size=(4, 8))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         with pytest.warns(losses.BatchTooSmallForContrastive):
-            loss = losses.contrastive_loss(e, np.array([0, 1, 2, 3]))
+            loss, _ = losses.contrastive_loss(e, np.array([0, 1, 2, 3]))
         assert loss == 0.0
 
-    def test_batch_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            losses.contrastive_loss(np.ones((1, 4)), np.array([0]))
+    def test_batch_of_one_warns_and_returns_zero(self):
+        # a single sample has no positive pair, so it takes the no-pair path
+        with pytest.warns(losses.BatchTooSmallForContrastive) as record:
+            loss, grad = losses.contrastive_loss(np.ones((1, 4)), np.array([0]))
+        assert len(record) == 1
+        assert loss == 0.0
+        assert grad.shape == (1, 4) and not grad.any()
 
     def test_four_sample_hand_computed(self):
         # scalar hand computation, fully written out
@@ -79,7 +83,7 @@ class TestContrastive:
             expected_rows.append(-math.log(num / den))
         expected = sum(expected_rows) / 4
 
-        loss = losses.contrastive_loss(e, y, temperature=kappa)
+        loss, _ = losses.contrastive_loss(e, y, temperature=kappa)
         assert loss == pytest.approx(expected, abs=1e-6)
 
     def test_gradient_matches_finite_difference(self):
@@ -87,7 +91,7 @@ class TestContrastive:
         e = rng.normal(size=(5, 6))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         y = np.array([0, 0, 1, 1, 1])
-        _, grad = losses.contrastive_loss(e, y, temperature=0.1, return_grad=True)
+        _, grad = losses.contrastive_loss(e, y, temperature=0.1)
         eps = 1e-6
         for i in range(5):
             for j in range(6):
@@ -95,7 +99,7 @@ class TestContrastive:
                 ep[i, j] += eps
                 em[i, j] -= eps
                 num = (
-                    losses.contrastive_loss(ep, y, 0.1) - losses.contrastive_loss(em, y, 0.1)
+                    losses.contrastive_loss(ep, y, 0.1)[0] - losses.contrastive_loss(em, y, 0.1)[0]
                 ) / (2 * eps)
                 assert abs(num - grad[i, j]) < 1e-5
 
@@ -113,10 +117,10 @@ class TestTotalLoss:
         yc = np.array([0, 0, 1, 2, 2, 3])
         ys = rng.integers(0, 5, size=(b, t))
 
-        total, comps = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
         l_class, _ = losses.cross_entropy(class_logits, yc)
         l_state, _ = losses.cross_entropy(state_logits, ys)
-        l_contr = losses.contrastive_loss(emb, yc, hp.contrastive_temperature)
+        l_contr, _ = losses.contrastive_loss(emb, yc, hp.contrastive_temperature)
         assert abs(total - (0.6 * l_class + 0.2 * l_state + 0.2 * l_contr)) < 1e-9
         assert comps["class"] == pytest.approx(l_class)
 
@@ -128,7 +132,7 @@ class TestTotalLoss:
         emb = np.tile(np.array([1.0] + [0.0] * 7), (b, 1))
         yc = np.array([0, 0, 1, 1])
         ys = np.zeros((b, t), dtype=int)
-        total, comps = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
         assert comps["class"] == pytest.approx(math.log(8), abs=1e-12)
 
     def test_perfect_batch_small_loss(self):
@@ -141,13 +145,13 @@ class TestTotalLoss:
         state_logits = np.full((b, t, 5), -20.0)
         state_logits[:, :, 2] = 20.0
         emb = np.tile(np.array([0.0, 1.0, 0.0]), (b, 1))
-        total, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, _, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
         assert total < 0.01
 
     def test_batch_of_one_warns(self):
         hp = HyperParams()
         with pytest.warns(losses.BatchTooSmallForContrastive):
-            total, comps = losses.total_loss(
+            total, comps, _ = losses.total_loss(
                 np.zeros((1, 8)), np.zeros((1, 20, 5)), np.ones((1, 4)), np.array([0]),
                 np.zeros((1, 20), dtype=int), hp,
             )

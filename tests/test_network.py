@@ -1,16 +1,22 @@
-"""Forward-pass contracts: shapes, temperature behavior, per-sample purity."""
+"""Forward-pass contracts: shapes, temperature behavior, per-sample purity;
+and the training step on a single window."""
+
+import warnings
 
 import numpy as np
 import pytest
 
+from microgext.losses import BatchTooSmallForContrastive
 from microgext.network import (
     INPUT_SHAPE,
+    N_STATES,
     HyperParams,
     ModelParams,
     NonFiniteActivation,
     ShapeMismatch,
     forward_batch,
     init_params,
+    loss_and_grads,
 )
 
 
@@ -127,3 +133,20 @@ class TestParams:
         assert list(a.tensors) == list(b.tensors)
         for name in a.tensors:
             np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+
+
+class TestLossAndGrads:
+    def test_single_window_has_finite_gradients_and_no_contrastive_term(self, params, hp):
+        rng = np.random.default_rng(4)
+        x = rng.normal(0.0, 0.08, (1, *INPUT_SHAPE))
+        ys = rng.integers(0, N_STATES, (1, INPUT_SHAPE[0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loss, comps, grads = loss_and_grads(params, x, np.array([2]), ys, hp)
+        assert [w.category for w in caught] == [BatchTooSmallForContrastive]
+        assert comps["contrastive"] == 0.0
+        assert np.isfinite(loss)
+        assert set(grads) == set(params.tensors)
+        for name, grad in grads.items():
+            assert grad.shape == params.tensors[name].shape, name
+            assert np.all(np.isfinite(grad)), name

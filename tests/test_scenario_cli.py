@@ -11,6 +11,7 @@ from microgext.cli import main
 from microgext.editor import CommandKind, Granularity
 from microgext.fsm import GestureEvent
 from microgext.scenario import (
+    BadScenario,
     Scenario,
     ScenarioStep,
     UnknownScenarioKey,
@@ -90,6 +91,26 @@ class TestScenarioCompile:
         sc = Scenario(initial_text="", steps=(ScenarioStep(kind="dance"),))
         with pytest.raises(ValueError):
             compile_scenario(sc)
+
+
+MALFORMED_SCRIPTS = {
+    "unknown_gesture": {"initial_text": "abc", "steps": [{"kind": "gesture", "gesture": "Nope"}]},
+    "unknown_kind": {"initial_text": "abc", "steps": [{"kind": "wave"}]},
+    "mode_switch_without_mode": {"initial_text": "abc", "steps": [{"kind": "mode_switch"}]},
+    "gesture_without_gesture": {"initial_text": "abc", "steps": [{"kind": "gesture"}]},
+    "null_gesture": {"initial_text": "abc", "steps": [{"kind": "gesture", "gesture": "Null"}]},
+    "string_duration": {"initial_text": "abc", "steps": [{"kind": "rest", "duration": "x"}]},
+    "negative_duration": {"initial_text": "abc", "steps": [{"kind": "rest", "duration": -1.0}]},
+    "missing_initial_text": {"steps": [{"kind": "rest"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCRIPTS))
+def test_malformed_script_is_a_bad_scenario(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_SCRIPTS[name]))
+    with pytest.raises(BadScenario):
+        load_scenario(path)
 
 
 class TestSwipeEpisode:
@@ -280,6 +301,23 @@ class TestCli:
                                       "--config", str(cfg), "--out", str(ds)])
         assert r.exit_code == 2, r.output
         assert "alpha" in r.output
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SCRIPTS))
+    def test_stream_malformed_script_is_a_usage_error(self, tmp_path, ckpt_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(MALFORMED_SCRIPTS[name]))
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--script", str(path),
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert f"{name}.json" in r.output and "BadScenario" in r.output
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_config_option_rejected_where_unused(self, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": 16}))
+        r = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "--config" in r.output
 
     def test_stream_requires_exactly_one_source(self, ckpt_path):
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path)])
