@@ -7,11 +7,12 @@ a scripted scenario through the online recognizer and editor).
 
 Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
-separate timing file. For train and stream, a --config JSON file can
-override training hyperparameters or FSM fields and is echoed into the
-output directory. Exit codes: 0 ok, 1 failed run assertion, 2 usage error
-(including an input file that its reader rejects, such as a malformed
-scenario script).
+separate timing file. A --config JSON file overrides training
+hyperparameters for train, and FSM fields over the script's own FSM
+settings for stream; each command rejects keys it does not use and echoes
+the file into the output directory. Exit codes: 0 ok, 1 failed run
+assertion, 2 usage error (including an input file that its reader rejects,
+such as a malformed scenario script).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -32,17 +34,17 @@ _HP_FIELDS = set(network.HyperParams.__dataclass_fields__)
 _FSM_FIELDS = set(FsmConfig.__dataclass_fields__)
 
 
-def _load_config(path):
+def _load_config(path, fields: set[str]) -> dict:
+    """The --config file's keys, which must all be among the command's
+    ``fields``; an empty dict without a file."""
     if path is None:
-        return {}, {}
+        return {}
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    unknown = set(raw) - _HP_FIELDS - _FSM_FIELDS
-    if unknown:
-        raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    hp_kwargs = {k: v for k, v in raw.items() if k in _HP_FIELDS}
-    fsm_kwargs = {k: v for k, v in raw.items() if k in _FSM_FIELDS}
-    return hp_kwargs, fsm_kwargs
+    unused = set(raw) - fields
+    if unused:
+        raise click.UsageError(f"{path}: config keys this command does not use: {sorted(unused)}")
+    return raw
 
 
 # the readers' typed errors for a wrong or corrupt input file
@@ -122,7 +124,7 @@ def cmd_synth(n_subjects, reps, null_reps, seed, out):
 @click.option("--out", default="out", show_default=True)
 def cmd_train(dataset_path, fold_subject, seed, config_path, out):
     """Train one leave-one-subject-out fold and write a checkpoint (.mgc)."""
-    hp_kwargs, _ = _load_config(config_path)
+    hp_kwargs = _load_config(config_path, _HP_FIELDS)
     hp_kwargs.setdefault("master_seed", seed)
     try:
         hp = network.HyperParams(**hp_kwargs)
@@ -188,7 +190,7 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
     """Run the online recognizer over a session or scripted scenario."""
     if (session_path is None) == (script_path is None):
         raise click.UsageError("provide exactly one of --session or --script")
-    _, fsm_kwargs = _load_config(config_path)
+    fsm_kwargs = _load_config(config_path, _FSM_FIELDS)
     out_dir = _prepare_out(out, config_path)
     params = _read(session_io.load_checkpoint, ckpt_path)
 
@@ -199,12 +201,17 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
             sc = _read(scenario_mod.load_scenario, script_path)
         frames, expected = scenario_mod.compile_scenario(sc)
         initial_text, granularity = sc.initial_text, sc.granularity
-        cfg = FsmConfig(**fsm_kwargs) if fsm_kwargs else sc.fsm_config()
+        base_cfg = sc.fsm_config()
     else:
         frames, _ = _read(session_io.read_session, session_path)
         expected = None
         initial_text, granularity = "", Granularity.CHARACTER
-        cfg = FsmConfig(**fsm_kwargs)
+        base_cfg = FsmConfig()
+    # the config overrides only the fields it names
+    try:
+        cfg = replace(base_cfg, **fsm_kwargs)
+    except ValueError as exc:
+        raise click.UsageError(f"{config_path}: {exc}") from exc
 
     ctx = sc.context() if script_path is not None else None
     result = scenario_mod.run_session(params, frames, cfg, initial_text, granularity, ctx=ctx)

@@ -5,12 +5,17 @@ come from skeleton, the 8 classes and 5 sub-states from synth):
 
     input (T, J, D)
       -> per-joint linear D -> H, ReLU, layer norm (no affine)
-      -> + spatial embedding (per joint)       -> mean-pool joints   = h0
+      -> mean-pool joints -> + joint-mean of the spatial embedding   = h0
       -> + temporal embedding (per frame)                            = h
       -> single-head scaled dot-product self-attention over frames   = a
       static branch:  mean-pool frames -> FC(H -> 8) -> / tau -> softmax
       dynamic branch: concat(a_t, h0_t) -> shared FC(2H -> 5) per frame
       contrastive:    mean-pool frames -> FC(H -> H) -> L2 normalize
+
+The spatial embedding (J x H) is added to every joint's row right before a
+plain mean over joints, so only its joint-mean reaches h0: its rows share
+one gradient and differ only by their initial draw, and the network cannot
+tell which joint a row belongs to.
 
 The temperature tau only rescales logits for the calibrated probabilities;
 it never changes the argmax and is excluded from gradient-based training.
@@ -145,29 +150,32 @@ def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
     return ModelParams(hp, tensors, tau=1.0)
 
 
-def _layer_norm(r: np.ndarray):
-    mu = r.mean(axis=-1, keepdims=True)
-    d = r - mu
-    var = (d * d).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    return d * inv, inv
-
-
 def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     """The frame-local stage: features (..., J, D) to the pooled frame
     embedding h0 (..., H). Returns h0 with the intermediates the backward
-    pass reads (the scaled input x, lin, z, inv).
+    pass reads: the scaled input x and lin as flat (N, D) and (N, H) rows,
+    where N counts every joint of every frame, z (..., J, H) and inv (N,).
 
     Nothing here mixes frames, so a streaming caller runs it on one new
     frame per push while ``forward_batch`` runs it on whole windows.
     """
-    x = x * _INPUT_SCALE
     p = params.tensors
-    lin = x @ p["w_in"] + p["b_in"]  # (..., J, H)
-    z, inv = _layer_norm(np.maximum(lin, 0.0))
-    s = z + p["spatial_embed"]
-    h0 = s.mean(axis=-2)
-    return {"x": x, "lin": lin, "z": z, "inv": inv, "h0": h0}
+    hidden = params.hp.hidden
+    xs = (x * _INPUT_SCALE).reshape(-1, N_FEATURES)
+    lin = xs @ p["w_in"]
+    lin += p["b_in"]
+    # ReLU, then layer norm (no affine) on one buffer. Mean and variance are
+    # row dots: unlike a BLAS matrix-vector product, a row's result does not
+    # depend on where the row sits in the block, so one streamed frame
+    # equals its row of a batch bit for bit.
+    r = np.maximum(lin, 0.0)
+    r -= np.vecdot(r, np.full(hidden, 1.0 / hidden))[:, None]
+    inv = 1.0 / np.sqrt(np.vecdot(r, r) / hidden + LN_EPS)
+    r *= inv[:, None]
+    z = r.reshape(*x.shape[:-1], hidden)
+    # the joint-mean of (z + spatial_embed), without the (..., J, H) add
+    h0 = z.sum(axis=-2) / NUM_JOINTS + p["spatial_embed"].mean(axis=0)
+    return {"x": xs, "lin": lin, "z": z, "inv": inv, "h0": h0}
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
@@ -191,9 +199,8 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     k = h @ p["wk"]
     v = h @ p["wv"]
     scale = 1.0 / np.sqrt(params.hp.hidden)
-    scores = np.einsum("bth,bsh->bts", q, k) * scale
-    attn = losses.softmax(scores)
-    a = np.einsum("bts,bsh->bth", attn, v)
+    attn = losses.softmax((q @ k.transpose(0, 2, 1)) * scale)
+    a = attn @ v
 
     g = a.mean(axis=1)  # (B, H)
     class_logits = g @ p["w_class"] + p["b_class"]
@@ -273,11 +280,11 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     # attention backward
     attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
     scale = 1.0 / np.sqrt(hidden)
-    d_attn = np.einsum("bth,bsh->bts", d_a, v)
-    d_v = np.einsum("bts,bth->bsh", attn, d_a)
+    d_attn = d_a @ v.transpose(0, 2, 1)
+    d_v = attn.transpose(0, 2, 1) @ d_a
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-    d_q = np.einsum("bts,bsh->bth", d_scores, k) * scale
-    d_k = np.einsum("bts,bth->bsh", d_scores, q) * scale
+    d_q = (d_scores @ k) * scale
+    d_k = (d_scores.transpose(0, 2, 1) @ q) * scale
 
     h = cache["h"]
     h_flat = h.reshape(-1, hidden)
@@ -290,16 +297,22 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     d_h0 = d_h + d_h0_direct
 
     # joint mean-pool and spatial embedding: every joint of a frame gets the
-    # same gradient, d_z (B, T, 1, H), broadcast over the joint axis
-    z, inv = cache["z"], cache["inv"]
-    d_z = d_h0[:, :, None, :] / NUM_JOINTS
-    grads["spatial_embed"] = np.broadcast_to(d_z, z.shape).sum(axis=(0, 1))
+    # same gradient, d_z (B, T, H)
+    z, inv, lin = cache["z"], cache["inv"], cache["lin"]
+    d_z = d_h0 / NUM_JOINTS
+    grads["spatial_embed"] = np.broadcast_to(d_z.sum(axis=(0, 1)), z.shape[-2:])
 
-    # layer norm (no affine): dr = inv * (dz - mean(dz) - z * mean(dz * z))
-    d_r = inv * (d_z - d_z.mean(axis=-1, keepdims=True) - z * (d_z * z).mean(axis=-1, keepdims=True))
-    d_lin = d_r * (cache["lin"] > 0.0)
+    # layer norm (no affine): dr = inv * (dz - mean(dz) - z * mean(dz * z)),
+    # with dz shared by the joints of a frame
+    c = d_z - d_z.mean(axis=-1, keepdims=True)  # (B, T, H)
+    m = np.matmul(z, d_z[..., None]) / hidden  # (B, T, J, 1)
+    d_r = z * m
+    np.subtract(c[:, :, None, :], d_r, out=d_r)
+    d_lin = d_r.reshape(lin.shape)
+    d_lin *= inv[:, None]
+    d_lin *= lin > 0.0
 
-    grads["w_in"] = np.einsum("btjd,btjh->dh", cache["x"], d_lin)
-    grads["b_in"] = d_lin.sum(axis=(0, 1, 2))
+    grads["w_in"] = cache["x"].T @ d_lin
+    grads["b_in"] = np.ones(len(d_lin)) @ d_lin
 
     return float(total), components, grads

@@ -35,15 +35,27 @@ def conjugate(q: np.ndarray) -> np.ndarray:
 def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) v by unit quaternion(s) q.
 
-    Uses the expanded sandwich product q v q*, which avoids building
-    intermediate quaternions for the vectors.
+    Uses the expanded sandwich product v + 2 (w (u x v) + u x (u x v)) with
+    u = (x, y, z), which avoids building intermediate quaternions for the
+    vectors. Both cross products are written out in ``np.cross``'s own
+    operation order, so results equal the ``np.cross`` form bit for bit
+    without its per-call argument handling.
     """
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    w = q[..., 0:1]
-    u = q[..., 1:4]
-    uv = np.cross(u, v)
-    return v + 2.0 * (w * uv + np.cross(u, uv))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    c0 = y * v2 - z * v1  # c = u x v
+    c1 = z * v0 - x * v2
+    c2 = x * v1 - y * v0
+    return np.stack(
+        [
+            v0 + 2.0 * (w * c0 + (y * c2 - z * c1)),
+            v1 + 2.0 * (w * c1 + (z * c0 - x * c2)),
+            v2 + 2.0 * (w * c2 + (x * c1 - y * c0)),
+        ],
+        axis=-1,
+    )
 
 
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

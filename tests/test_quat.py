@@ -1,6 +1,7 @@
-"""Quaternion helper checks against rotation-matrix oracles."""
+"""Quaternion helper checks against rotation-matrix and np.cross oracles."""
 
 import numpy as np
+import pytest
 
 from microgext import quat
 
@@ -54,6 +55,30 @@ def test_broadcasting_over_leading_axes():
     out = quat.rotate(qs, vs)
     assert out.shape == (2, 3, 3)
     np.testing.assert_allclose(out[1, 2], quat.rotate(qs[1, 2], vs[1, 2]), atol=1e-12)
+
+
+def rotate_with_np_cross(q, v):
+    """The sandwich product written with ``np.cross``."""
+    w, u = q[..., 0:1], q[..., 1:4]
+    uv = np.cross(u, v)
+    return v + 2.0 * (w * uv + np.cross(u, uv))
+
+
+@pytest.mark.parametrize(
+    "q_shape, v_shape",
+    [((4,), (3,)), ((11, 4), (11, 3)), ((100, 11, 4), (100, 11, 3)), ((1, 4), (11, 3)),
+     ((11, 4), (3,)), ((4,), (7, 3)), ((5, 1, 4), (11, 3))],
+)
+def test_rotate_equals_np_cross_form_bit_for_bit(q_shape, v_shape):
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        q = rng.normal(size=q_shape)
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        v = rng.normal(size=v_shape)
+        expected = rotate_with_np_cross(q, v)
+        out = quat.rotate(q, v)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
 
 
 def test_from_axis_angle_known_rotation():

@@ -311,6 +311,51 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert f"{name}.json" in r.output and "BadScenario" in r.output
 
+    def test_train_rejects_fsm_config_keys(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hidden": 8, "max_epochs": 1, "delta": 0.9}))
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "2", "--reps", "2", "--null-reps", "2",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
+                                      "--config", str(cfg), "--out", str(ds)])
+        assert r.exit_code == 2, r.output
+        assert "delta" in r.output and "hidden" not in r.output
+        assert not (ds / "checkpoint.mgc").exists()
+
+    @pytest.mark.parametrize("config, key", [({"hidden": 999}, "hidden"), ({"delta": 1.5}, "delta")])
+    def test_stream_rejects_training_keys_and_bad_fsm_values(self, tmp_path, ckpt_path, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--script", "default",
+                                      "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert key in r.output
+        assert not (tmp_path / "o" / "session.mgs").exists()
+
+    def test_stream_config_overrides_only_the_fields_it_names(self, tmp_path, ckpt_path, monkeypatch):
+        # {"delta": 0.95} is the default value: the run must keep the
+        # script's own refractory and equal a run without --config
+        from microgext import scenario
+
+        cfgs = []
+        real_run_session = scenario.run_session
+
+        def recording_run_session(params, frames, cfg, *args, **kwargs):
+            cfgs.append(cfg)
+            return real_run_session(params, frames, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "run_session", recording_run_session)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 0.95}))
+        base = ["stream", "--checkpoint", str(ckpt_path), "--script", "default", "--seed", "7"]
+        plain = CliRunner().invoke(main, [*base, "--out", str(tmp_path / "plain")])
+        configured = CliRunner().invoke(main, [*base, "--config", str(cfg), "--out", str(tmp_path / "cfg")])
+        assert cfgs == [default_scenario(7).fsm_config()] * 2
+        assert configured.exit_code == plain.exit_code
+        for name in ("session.mgs", "commands.log", "final_document.txt", "events.json"):
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
     @pytest.mark.parametrize("command", ["synth", "eval"])
     def test_config_option_rejected_where_unused(self, tmp_path, command):
         cfg = tmp_path / "cfg.json"
