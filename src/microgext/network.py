@@ -25,6 +25,9 @@ it on whole windows for training and evaluation; the streaming predictor
 (``stream.ModelPredictor``) runs it on one new frame per push and keeps the
 window's rows itself, with no embedding head.
 
+Both passes work on flat rows: Q, K and V come from one (B*T, H) @ (H, 3H)
+GEMM against ``qkv_weight`` and the state head runs on (B*T, 2H) rows.
+
 Reverse-mode gradients are derived manually for this fixed graph; the test
 suite checks every parameter tensor against central finite differences.
 """
@@ -153,29 +156,41 @@ def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
 def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     """The frame-local stage: features (..., J, D) to the pooled frame
     embedding h0 (..., H). Returns h0 with the intermediates the backward
-    pass reads: the scaled input x and lin as flat (N, D) and (N, H) rows,
-    where N counts every joint of every frame, z (..., J, H) and inv (N,).
+    pass reads, as flat rows where N counts every joint of every frame:
+    x (N, D + 1), the scaled input with a ones column that carries b_in
+    through the one input GEMM; lin (N, H), the pre-ReLU rows; d (N, H), the
+    ReLU rows centred on their mean; and inv (N,), each row's inverse
+    standard deviation. The layer-normed rows z = d * inv are never
+    materialized: the joint pool weights each row of d by inv / J in one
+    batched matmul per frame.
 
     Nothing here mixes frames, so a streaming caller runs it on one new
     frame per push while ``forward_batch`` runs it on whole windows.
     """
     p = params.tensors
     hidden = params.hp.hidden
-    xs = (x * _INPUT_SCALE).reshape(-1, N_FEATURES)
-    lin = xs @ p["w_in"]
-    lin += p["b_in"]
-    # ReLU, then layer norm (no affine) on one buffer. Mean and variance are
-    # row dots: unlike a BLAS matrix-vector product, a row's result does not
-    # depend on where the row sits in the block, so one streamed frame
+    frames = x.shape[:-2]
+    xs = np.empty((x.size // N_FEATURES, N_FEATURES + 1))
+    np.multiply(x.reshape(-1, N_FEATURES), _INPUT_SCALE, out=xs[:, :N_FEATURES])
+    xs[:, N_FEATURES] = 1.0
+    lin = xs @ np.concatenate([p["w_in"], p["b_in"][None]])
+    # ReLU, then the layer norm (no affine) statistics. Mean and variance
+    # are row dots: unlike a BLAS matrix-vector product, a row's result does
+    # not depend on where the row sits in the block, so one streamed frame
     # equals its row of a batch bit for bit.
-    r = np.maximum(lin, 0.0)
-    r -= np.vecdot(r, np.full(hidden, 1.0 / hidden))[:, None]
-    inv = 1.0 / np.sqrt(np.vecdot(r, r) / hidden + LN_EPS)
-    r *= inv[:, None]
-    z = r.reshape(*x.shape[:-1], hidden)
-    # the joint-mean of (z + spatial_embed), without the (..., J, H) add
-    h0 = z.sum(axis=-2) / NUM_JOINTS + p["spatial_embed"].mean(axis=0)
-    return {"x": xs, "lin": lin, "z": z, "inv": inv, "h0": h0}
+    d = np.maximum(lin, 0.0)
+    d -= np.vecdot(d, np.full(hidden, 1.0 / hidden))[:, None]
+    inv = 1.0 / np.sqrt(np.vecdot(d, d) / hidden + LN_EPS)
+    # h0 = mean_j(d_j * inv_j) + mean_j(spatial_embed_j)
+    pooled = (inv / NUM_JOINTS).reshape(*frames, 1, NUM_JOINTS) @ d.reshape(*frames, NUM_JOINTS, hidden)
+    h0 = pooled.reshape(*frames, hidden) + p["spatial_embed"].mean(axis=0)
+    return {"x": xs, "lin": lin, "d": d, "inv": inv, "h0": h0}
+
+
+def qkv_weight(params: ModelParams) -> np.ndarray:
+    """Wq, Wk and Wv side by side, (H, 3H): a row times it is [q | k | v]."""
+    p = params.tensors
+    return np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
 
 
 def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
@@ -191,21 +206,23 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     if not np.all(np.isfinite(x)):
         raise NonFiniteActivation("non-finite values in input window")
     p = params.tensors
+    hidden = params.hp.hidden
     stage = joint_stage(params, x)
     h0 = stage["h0"]  # (B, T, H)
     h = h0 + p["temporal_embed"]
 
-    q = h @ p["wq"]
-    k = h @ p["wk"]
-    v = h @ p["wv"]
-    scale = 1.0 / np.sqrt(params.hp.hidden)
+    # Q, K and V as one flat (B*T, H) @ (H, 3H) GEMM; q, k, v are views
+    w_qkv = qkv_weight(params)
+    qkv = (h.reshape(-1, hidden) @ w_qkv).reshape(*h.shape[:2], 3 * hidden)
+    q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
+    scale = 1.0 / np.sqrt(hidden)
     attn = losses.softmax((q @ k.transpose(0, 2, 1)) * scale)
     a = attn @ v
 
     g = a.mean(axis=1)  # (B, H)
     class_logits = g @ p["w_class"] + p["b_class"]
     u_cat = np.concatenate([a, h0], axis=-1)  # (B, T, 2H)
-    state_logits = u_cat @ p["w_state"] + p["b_state"]
+    state_logits = (u_cat.reshape(-1, 2 * hidden) @ p["w_state"] + p["b_state"]).reshape(*h.shape[:2], N_STATES)
     e_raw = g @ p["w_embed"] + p["b_embed"]
     norms = np.linalg.norm(e_raw, axis=-1, keepdims=True)
     norms = np.maximum(norms, 1e-12)
@@ -222,7 +239,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
         "embedding": embedding,
     }
     if want_cache:
-        out.update(stage, h=h, q=q, k=k, v=v, attn=attn, g=g, u_cat=u_cat, e_norms=norms)
+        out.update(stage, h=h, w_qkv=w_qkv, qkv=qkv, attn=attn, g=g, u_cat=u_cat, e_norms=norms)
     return out
 
 
@@ -242,7 +259,8 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
 
     This is the reverse-mode pass for the fixed architecture above. tau takes
     no gradient: cross-entropies act on pre-temperature logits and the
-    temperature is fit post hoc.
+    temperature is fit post hoc. The LayerNorm backward overwrites the
+    cache's d rows in place; the cache never leaves this function.
     """
     cache = forward_batch(params, x, want_cache=True)
     p = params.tensors
@@ -266,53 +284,55 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     grads["b_class"] = d_class_logits.sum(axis=0)
     d_g = d_g + d_class_logits @ p["w_class"].T
 
-    # dynamic head
+    # dynamic head, on flat (B*T, 2H) rows
     u_flat = cache["u_cat"].reshape(-1, 2 * hidden)
     d_state_flat = d_state_logits.reshape(-1, N_STATES)
     grads["w_state"] = u_flat.T @ d_state_flat
     grads["b_state"] = d_state_flat.sum(axis=0)
-    d_u = d_state_logits @ p["w_state"].T  # (B, T, 2H)
+    d_u = (d_state_flat @ p["w_state"].T).reshape(cache["u_cat"].shape)
 
     # pooled attention output feeds both heads; per-frame slice feeds dynamic
     d_a = d_g[:, None, :] / T_WINDOW + d_u[..., :hidden]
     d_h0_direct = d_u[..., hidden:]
 
-    # attention backward
-    attn, v, q, k = cache["attn"], cache["v"], cache["q"], cache["k"]
-    scale = 1.0 / np.sqrt(hidden)
+    # attention backward, writing d_q, d_k and d_v into one (B, T, 3H) buffer
+    attn, qkv = cache["attn"], cache["qkv"]
+    q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
+    d_qkv = np.empty_like(qkv)
     d_attn = d_a @ v.transpose(0, 2, 1)
-    d_v = attn.transpose(0, 2, 1) @ d_a
+    np.matmul(attn.transpose(0, 2, 1), d_a, out=d_qkv[..., 2 * hidden :])
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.transpose(0, 2, 1) @ q) * scale
+    d_scores *= 1.0 / np.sqrt(hidden)
+    np.matmul(d_scores, k, out=d_qkv[..., :hidden])
+    np.matmul(d_scores.transpose(0, 2, 1), q, out=d_qkv[..., hidden : 2 * hidden])
 
-    h = cache["h"]
-    h_flat = h.reshape(-1, hidden)
-    grads["wq"] = h_flat.T @ d_q.reshape(-1, hidden)
-    grads["wk"] = h_flat.T @ d_k.reshape(-1, hidden)
-    grads["wv"] = h_flat.T @ d_v.reshape(-1, hidden)
-    d_h = d_q @ p["wq"].T + d_k @ p["wk"].T + d_v @ p["wv"].T
+    d_qkv_flat = d_qkv.reshape(-1, 3 * hidden)
+    grads["wq"], grads["wk"], grads["wv"] = np.split(cache["h"].reshape(-1, hidden).T @ d_qkv_flat, 3, axis=1)
+    d_h = (d_qkv_flat @ cache["w_qkv"].T).reshape(cache["h"].shape)
 
     grads["temporal_embed"] = d_h.sum(axis=0)
     d_h0 = d_h + d_h0_direct
 
     # joint mean-pool and spatial embedding: every joint of a frame gets the
     # same gradient, d_z (B, T, H)
-    z, inv, lin = cache["z"], cache["inv"], cache["lin"]
+    d, inv, lin = cache["d"], cache["inv"], cache["lin"]
     d_z = d_h0 / NUM_JOINTS
-    grads["spatial_embed"] = np.broadcast_to(d_z.sum(axis=(0, 1)), z.shape[-2:])
+    grads["spatial_embed"] = np.broadcast_to(d_z.sum(axis=(0, 1)), (NUM_JOINTS, hidden))
 
-    # layer norm (no affine): dr = inv * (dz - mean(dz) - z * mean(dz * z)),
-    # with dz shared by the joints of a frame
+    # layer norm (no affine), with z = d * inv and dz shared by the joints of
+    # a frame: dr = inv * (c - z * mean(dz * z)), c = dz - mean(dz). The
+    # rows of d become (c - d * inv² * (d · dz) / H) in place; inv is one
+    # factor per row, so the input GEMM applies it to the (N, D + 1) input
+    # rows instead of the (N, H) ones: xᵀ (inv ⊙ d) = (inv ⊙ x)ᵀ d
     c = d_z - d_z.mean(axis=-1, keepdims=True)  # (B, T, H)
-    m = np.matmul(z, d_z[..., None]) / hidden  # (B, T, J, 1)
-    d_r = z * m
-    np.subtract(c[:, :, None, :], d_r, out=d_r)
-    d_lin = d_r.reshape(lin.shape)
-    d_lin *= inv[:, None]
-    d_lin *= lin > 0.0
+    d_frames = d.reshape(*d_z.shape[:2], NUM_JOINTS, hidden)
+    m = (d_frames @ d_z[..., None]).reshape(-1)  # d · dz per row
+    d *= (inv * inv * m / hidden)[:, None]
+    np.subtract(c[:, :, None, :], d_frames, out=d_frames)
+    d *= lin > 0.0  # d now holds d_lin / inv
 
-    grads["w_in"] = cache["x"].T @ d_lin
-    grads["b_in"] = np.ones(len(d_lin)) @ d_lin
+    # w_in and b_in from one GEMM: the ones column of x carries the bias
+    d_in = (cache["x"] * inv[:, None]).T @ d
+    grads["w_in"], grads["b_in"] = d_in[:N_FEATURES], d_in[N_FEATURES]
 
     return float(total), components, grads

@@ -161,27 +161,6 @@ def load_scenario(path) -> Scenario:
     return sc
 
 
-def scenario_to_dict(sc: Scenario) -> dict:
-    steps = []
-    for s in sc.steps:
-        d = {"kind": s.kind, "duration": s.duration, "hold": s.hold, "pre_rest": s.pre_rest}
-        if s.gesture is not None:
-            d["gesture"] = s.gesture.value
-        if s.mode is not None:
-            d["mode"] = s.mode.value
-        if s.kind == "swipe":
-            d.update(u_from=s.u_from, u_to=s.u_to, move_time=s.move_time)
-        steps.append(d)
-    return {
-        "initial_text": sc.initial_text,
-        "granularity": sc.granularity.value,
-        "seed": sc.seed,
-        "jitter_std": sc.jitter_std,
-        "fsm_refractory": sc.fsm_refractory,
-        "steps": steps,
-    }
-
-
 def _frames(seconds: float) -> int:
     return max(1, int(round(seconds * FRAME_RATE)))
 

@@ -11,7 +11,7 @@ The model's predictor is incremental (Transformer-XL-style state reuse,
 Dai et al. 2019). The per-joint stage is frame-local, and the temporal
 embedding TE enters the attention projections linearly:
 (h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. So a push runs the per-joint stage
-and the three projections on the newest frame only, into rings of the last
+and one fused Q/K/V projection on the newest frame only, into rings of the last
 T frames, and a full window costs one T x T attention plus the class and
 sub-state heads. The contrastive embedding head is never computed online.
 
@@ -93,8 +93,8 @@ class ModelPredictor:
     """Incremental forward pass of trained ModelParams over a sliding window.
 
     ``push(features)`` takes one frame's (J, D) features, runs the per-joint
-    stage on it and stores its pooled embedding h0 and the rows h0 @ Wq,
-    h0 @ Wk and h0 @ Wv. ``__call__()`` reads the last T pushed frames (the
+    stage on it and stores its pooled embedding h0 and its [q | k | v] row
+    h0 @ ``network.qkv_weight``. ``__call__()`` reads the last T pushed frames (the
     caller pushes at least T first), adds the (TE @ W) row of each frame's
     window position, and returns ``(class_probs (8,), state_logits (T, 5))``
     as ``forward_batch`` would for that window, up to float rounding.
@@ -104,8 +104,8 @@ class ModelPredictor:
         self.params = params
         p = params.tensors
         hidden = params.hp.hidden
-        te = p["temporal_embed"]
-        self._te_qkv = np.concatenate([te @ p["wq"], te @ p["wk"], te @ p["wv"]], axis=1)  # (T, 3H)
+        self._w_qkv = network.qkv_weight(params)  # (H, 3H)
+        self._te_qkv = p["temporal_embed"] @ self._w_qkv  # (T, 3H)
         self._scale = 1.0 / np.sqrt(hidden)
         # each ring stores a frame's row twice, at slots i and i + T, so the
         # last T frames in time order are always the view [next, next + T)
@@ -116,14 +116,10 @@ class ModelPredictor:
     def push(self, features: np.ndarray) -> None:
         if features.shape != network.INPUT_SHAPE[1:]:
             raise network.ShapeMismatch(f"expected frame features {network.INPUT_SHAPE[1:]}, got {features.shape}")
-        p = self.params.tensors
-        hidden = self.params.hp.hidden
         h0 = network.joint_stage(self.params, features)["h0"]
         i = self._next
         row = self._qkv[i]
-        np.matmul(h0, p["wq"], out=row[:hidden])
-        np.matmul(h0, p["wk"], out=row[hidden : 2 * hidden])
-        np.matmul(h0, p["wv"], out=row[2 * hidden :])
+        np.matmul(h0, self._w_qkv, out=row)
         self._qkv[i + T_WINDOW] = row
         self._h0[i] = self._h0[i + T_WINDOW] = h0
         self._next = (i + 1) % T_WINDOW

@@ -138,19 +138,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def clips_equal(a: LabeledClip, b: LabeledClip) -> bool:
-    return (
-        a.gesture is b.gesture
-        and a.subject_id == b.subject_id
-        and a.handedness is b.handedness
-        and a.duration == b.duration
-        and np.array_equal(a.timestamps, b.timestamps)
-        and np.array_equal(a.joint_positions, b.joint_positions)
-        and np.array_equal(a.joint_orientations, b.joint_orientations)
-        and np.array_equal(a.substates, b.substates)
-    )
-
-
 @dataclass(frozen=True)
 class Dataset:
     clips: tuple[LabeledClip, ...]

@@ -1,4 +1,4 @@
-"""Frame builders shared by the tests."""
+"""Frame and clip helpers shared by the tests."""
 
 from __future__ import annotations
 
@@ -34,3 +34,17 @@ def clip_frames(clip: LabeledClip):
     """The clip's frames in order, built one at a time."""
     for t, pos, ori in zip(clip.timestamps, clip.joint_positions, clip.joint_orientations):
         yield HandFrame(float(t), clip.handedness, pos, ori)
+
+
+def clips_equal(a: LabeledClip, b: LabeledClip) -> bool:
+    """Same labels and bit-identical arrays."""
+    return (
+        a.gesture is b.gesture
+        and a.subject_id == b.subject_id
+        and a.handedness is b.handedness
+        and a.duration == b.duration
+        and np.array_equal(a.timestamps, b.timestamps)
+        and np.array_equal(a.joint_positions, b.joint_positions)
+        and np.array_equal(a.joint_orientations, b.joint_orientations)
+        and np.array_equal(a.substates, b.substates)
+    )

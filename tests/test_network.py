@@ -150,3 +150,25 @@ class TestLossAndGrads:
         for name, grad in grads.items():
             assert grad.shape == params.tensors[name].shape, name
             assert np.all(np.isfinite(grad)), name
+
+    def test_inputs_and_params_untouched_and_calls_repeat_exactly(self, params, hp):
+        # the backward overwrites its cache buffers in place; none of them
+        # may alias the caller's input or the parameter tensors
+        rng = np.random.default_rng(5)
+        x = rng.normal(0.0, 0.2, (6, *INPUT_SHAPE))
+        yc = np.array([0, 0, 3, 3, 5, 5])
+        ys = rng.integers(0, N_STATES, (6, INPUT_SHAPE[0]))
+        x_before = x.tobytes()
+        tensors_before = {name: t.tobytes() for name, t in params.tensors.items()}
+
+        first = loss_and_grads(params, x, yc, ys, hp)
+        outs = [forward_batch(params, x, want_cache=cache) for cache in (True, False)]
+        second = loss_and_grads(params, x, yc, ys, hp)
+
+        assert x.tobytes() == x_before
+        assert {name: t.tobytes() for name, t in params.tensors.items()} == tensors_before
+        assert first[0] == second[0] and first[1] == second[1]
+        for name, grad in first[2].items():
+            np.testing.assert_array_equal(grad, second[2][name], err_msg=name)
+        for key in ("class_logits", "class_probs", "state_logits", "embedding"):
+            np.testing.assert_array_equal(outs[0][key], outs[1][key], err_msg=key)

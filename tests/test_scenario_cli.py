@@ -20,10 +20,31 @@ from microgext.scenario import (
     default_scenario,
     load_scenario,
     run_session,
-    scenario_to_dict,
 )
 from microgext.skeleton import Handedness
 from microgext.synth import GestureClass
+
+
+def scenario_to_dict(sc: Scenario) -> dict:
+    """The JSON object that ``load_scenario`` reads back as ``sc``."""
+    steps = []
+    for s in sc.steps:
+        d = {"kind": s.kind, "duration": s.duration, "hold": s.hold, "pre_rest": s.pre_rest}
+        if s.gesture is not None:
+            d["gesture"] = s.gesture.value
+        if s.mode is not None:
+            d["mode"] = s.mode.value
+        if s.kind == "swipe":
+            d.update(u_from=s.u_from, u_to=s.u_to, move_time=s.move_time)
+        steps.append(d)
+    return {
+        "initial_text": sc.initial_text,
+        "granularity": sc.granularity.value,
+        "seed": sc.seed,
+        "jitter_std": sc.jitter_std,
+        "fsm_refractory": sc.fsm_refractory,
+        "steps": steps,
+    }
 
 
 class TestScenarioCompile:

@@ -29,9 +29,9 @@ from microgext.session_io import (
     write_session,
 )
 from microgext.skeleton import INDEX_TIP, JOINT_NAMES, NUM_JOINTS
-from microgext.synth import CLASS_NAMES, GestureClass, clips_equal
+from microgext.synth import CLASS_NAMES, GestureClass
 
-from .frames import clip_frames
+from .frames import clip_frames, clips_equal
 
 # every error a binary reader may raise; anything else is a reader bug
 TYPED_ERRORS = (

@@ -13,13 +13,14 @@ from microgext.synth import (
     NullNotSupportedHere,
     SubjectParams,
     SubState,
-    clips_equal,
     label_substates,
     make_dataset,
     subjects_for,
     synth_clip,
     synth_null,
 )
+
+from .frames import clips_equal
 
 
 def palm_center(positions):
