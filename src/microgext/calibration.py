@@ -19,6 +19,7 @@ from .network import ModelParams
 
 TAU_LO = 0.05
 TAU_HI = 10.0
+TAU_TOL = 1e-5
 ECE_BINS = 15
 
 
@@ -31,14 +32,14 @@ def nll(logits: np.ndarray, labels: np.ndarray, tau: float) -> float:
     return loss
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-5) -> float:
-    """Minimize a unimodal scalar function on [lo, hi]."""
+def golden_section(f, lo: float, hi: float) -> float:
+    """Minimize a unimodal scalar function on [lo, hi], to within TAU_TOL."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > TAU_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -72,18 +73,16 @@ def calibrate(params: ModelParams, windows: np.ndarray, labels: np.ndarray) -> M
     return params.with_tau(float(np.float32(tau)))
 
 
-def expected_calibration_error(
-    confidences: np.ndarray, correct: np.ndarray, n_bins: int = ECE_BINS
-) -> float:
-    """Weighted |accuracy - confidence| gap over equal-width bins."""
+def expected_calibration_error(confidences: np.ndarray, correct: np.ndarray) -> float:
+    """Weighted |accuracy - confidence| gap over ECE_BINS equal-width bins."""
     confidences = np.asarray(confidences, dtype=np.float64)
     correct = np.asarray(correct, dtype=np.float64)
     n = len(confidences)
     if n == 0:
         return 0.0
-    bins = np.clip((confidences * n_bins).astype(np.int64), 0, n_bins - 1)
+    bins = np.clip((confidences * ECE_BINS).astype(np.int64), 0, ECE_BINS - 1)
     ece = 0.0
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         mask = bins == b
         size = int(mask.sum())
         if size == 0:

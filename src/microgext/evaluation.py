@@ -16,6 +16,8 @@ from .network import N_CLASSES, N_STATES, ModelParams
 from .skeleton import T_WINDOW
 from .synth import CLASS_NAMES, LabeledClip
 
+EVAL_BATCH = 64
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -40,7 +42,7 @@ def _confusion(true: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64) -> EvalReport:
+def evaluate(params: ModelParams, clips: list[LabeledClip]) -> EvalReport:
     """Evaluate a trained model on held-out clips.
 
     Class predictions use one centered window per clip. State predictions
@@ -53,8 +55,8 @@ def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64
     y_class = np.array([fc.class_index for fc in fcs], dtype=np.int64)
 
     logits = []
-    for i in range(0, len(x), batch_size):
-        out = network.forward_batch(params, x[i : i + batch_size])
+    for i in range(0, len(x), EVAL_BATCH):
+        out = network.forward_batch(params, x[i : i + EVAL_BATCH])
         logits.append(out["class_logits"])
     logits = np.concatenate(logits)
 
@@ -66,8 +68,8 @@ def evaluate(params: ModelParams, clips: list[LabeledClip], batch_size: int = 64
     xs_state = np.stack(xs_state)
     y_state = np.stack(ys_state).astype(np.int64)
     state_preds = []
-    for i in range(0, len(xs_state), batch_size):
-        out = network.forward_batch(params, xs_state[i : i + batch_size])
+    for i in range(0, len(xs_state), EVAL_BATCH):
+        out = network.forward_batch(params, xs_state[i : i + EVAL_BATCH])
         state_preds.append(out["state_logits"].argmax(axis=-1))
     state_preds = np.concatenate(state_preds)
 

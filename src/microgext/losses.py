@@ -16,6 +16,9 @@ import warnings
 
 import numpy as np
 
+CLASS_WEIGHT, STATE_WEIGHT, CONTRASTIVE_WEIGHT = 0.6, 0.2, 0.2
+CONTRASTIVE_TEMPERATURE = 0.1
+
 
 class BatchTooSmallForContrastive(UserWarning):
     """No positive pair in the batch: the contrastive term is set to 0."""
@@ -51,25 +54,21 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, grad
 
 
-def contrastive_loss(
-    embeddings: np.ndarray,
-    class_labels: np.ndarray,
-    temperature: float = 0.1,
-) -> tuple[float, np.ndarray]:
+def contrastive_loss(embeddings: np.ndarray, class_labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Supervised NT-Xent over in-batch pairs of L2-normalized embeddings.
 
     For each anchor i the positives are the same-class samples j != i:
 
         L_i = -log( sum_pos exp(sim/kappa) / sum_{j != i} exp(sim/kappa) )
 
-    with sim the dot product. Returns (loss, dloss/dembeddings). Anchors with
+    with sim the dot product and kappa = CONTRASTIVE_TEMPERATURE. Returns (loss, dloss/dembeddings). Anchors with
     no positive are skipped; when no anchor has one (as in a batch of one),
     loss and gradient are 0 and a BatchTooSmallForContrastive warning is
     emitted.
     """
     e = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(class_labels)
-    sims = (e @ e.T) / temperature
+    sims = (e @ e.T) / CONTRASTIVE_TEMPERATURE
     eye = np.eye(len(e), dtype=bool)
     pos = (y[:, None] == y[None, :]) & ~eye
     valid = pos.any(axis=1)
@@ -96,7 +95,7 @@ def contrastive_loss(
     p_pos[valid] = softmax(pos_logits[valid])
     g = np.zeros_like(sims)
     g[valid] = (p_all[valid] - p_pos[valid]) / n_valid
-    demb = (g @ e + g.T @ e) / temperature
+    demb = (g @ e + g.T @ e) / CONTRASTIVE_TEMPERATURE
     return loss, demb
 
 
@@ -106,9 +105,9 @@ def total_loss(
     embeddings: np.ndarray,
     class_labels: np.ndarray,
     state_labels: np.ndarray,
-    hp,
 ):
-    """Weighted sum of the three terms.
+    """Sum of the three terms, weighted by CLASS_WEIGHT, STATE_WEIGHT and
+    CONTRASTIVE_WEIGHT.
 
     Returns (loss, components, grads): components maps "class", "state" and
     "contrastive" to the unweighted terms, and grads holds the gradients
@@ -117,8 +116,8 @@ def total_loss(
     """
     l_class, d_class = cross_entropy(class_logits, class_labels)
     l_state, d_state = cross_entropy(state_logits, state_labels)
-    l_contr, d_emb = contrastive_loss(embeddings, class_labels, hp.contrastive_temperature)
+    l_contr, d_emb = contrastive_loss(embeddings, class_labels)
 
-    total = hp.alpha * l_class + hp.beta * l_state + hp.gamma * l_contr
+    total = CLASS_WEIGHT * l_class + STATE_WEIGHT * l_state + CONTRASTIVE_WEIGHT * l_contr
     components = {"class": l_class, "state": l_state, "contrastive": l_contr}
-    return total, components, (hp.alpha * d_class, hp.beta * d_state, hp.gamma * d_emb)
+    return total, components, (CLASS_WEIGHT * d_class, STATE_WEIGHT * d_state, CONTRASTIVE_WEIGHT * d_emb)

@@ -67,18 +67,13 @@ class NonFiniteActivation(FloatingPointError):
 
 @dataclass(frozen=True)
 class HyperParams:
+    """What a run sets: the hidden width and the training run. The loss
+    weights and the contrastive temperature are ``losses`` constants, the
+    batch size and the plateau schedule ``training`` constants."""
+
     hidden: int = 256
-    alpha: float = 0.6
-    beta: float = 0.2
-    gamma: float = 0.2
     learning_rate: float = 0.001
-    batch_size: int = 32
-    plateau_patience: int = 5
-    plateau_factor: float = 0.5
-    plateau_threshold: float = 1e-4
-    min_learning_rate: float = 1e-5
     max_epochs: int = 60
-    contrastive_temperature: float = 0.1
     master_seed: int = 0
 
     def __post_init__(self):
@@ -88,10 +83,7 @@ class HyperParams:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
-            raise ValueError("loss weights must sum to 1")
-        for name in ("hidden", "alpha", "beta", "gamma", "learning_rate", "batch_size",
-                     "plateau_patience", "plateau_factor", "max_epochs", "contrastive_temperature"):
+        for name in ("hidden", "learning_rate", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -243,18 +235,18 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     return out
 
 
-def batch_loss(params: ModelParams, x, class_labels, state_labels, hp: HyperParams) -> float:
+def batch_loss(params: ModelParams, x, class_labels, state_labels) -> float:
     """Total training loss of a batch; the finite-difference tests probe this."""
     out = forward_batch(params, x)
     with np.errstate(all="raise"):
         total, _, _ = losses.total_loss(
             out["class_logits"], out["state_logits"], out["embedding"],
-            class_labels, state_labels, hp,
+            class_labels, state_labels,
         )
     return float(total)
 
 
-def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: HyperParams):
+def loss_and_grads(params: ModelParams, x, class_labels, state_labels):
     """Total loss, per-component values, and gradients for every tensor.
 
     This is the reverse-mode pass for the fixed architecture above. tau takes
@@ -264,10 +256,10 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp: Hyper
     """
     cache = forward_batch(params, x, want_cache=True)
     p = params.tensors
-    hidden = hp.hidden
+    hidden = params.hp.hidden
 
     total, components, (d_class_logits, d_state_logits, d_emb) = losses.total_loss(
-        cache["class_logits"], cache["state_logits"], cache["embedding"], class_labels, state_labels, hp
+        cache["class_logits"], cache["state_logits"], cache["embedding"], class_labels, state_labels
     )
 
     grads = {}

@@ -34,7 +34,7 @@ MGS_VERSION = 2
 MGL_VERSION = 1
 MGR_VERSION = 1
 MGD_VERSION = 1
-MGC_VERSION = 2
+MGC_VERSION = 3
 
 
 class VersionMismatch(ValueError):

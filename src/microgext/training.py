@@ -93,13 +93,19 @@ def center_states(fc: FeaturizedClip) -> np.ndarray:
     return fc.substates[start : start + T_WINDOW]
 
 
-def _batches(n: int, batch_size: int, order=None):
-    idx = np.arange(n) if order is None else order
-    for i in range(0, n, batch_size):
-        yield idx[i : i + batch_size]
-
-
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+BATCH_SIZE = 32
+# reduce-on-plateau: after PLATEAU_PATIENCE epochs without a validation loss
+# PLATEAU_THRESHOLD below the best, the rate is scaled by PLATEAU_FACTOR,
+# down to MIN_LEARNING_RATE
+PLATEAU_PATIENCE, PLATEAU_FACTOR, PLATEAU_THRESHOLD = 5, 0.5, 1e-4
+MIN_LEARNING_RATE = 1e-5
+
+
+def _batches(n: int, order=None):
+    idx = np.arange(n) if order is None else order
+    for i in range(0, n, BATCH_SIZE):
+        yield idx[i : i + BATCH_SIZE]
 
 
 class Adam:
@@ -138,16 +144,16 @@ def _epoch_crops(fcs: list[FeaturizedClip], rng: np.random.Generator):
     return xs, y_class, y_state
 
 
-def validation_loss(params: ModelParams, x_val, yc_val, ys_val, hp: HyperParams) -> float:
+def validation_loss(params: ModelParams, x_val, yc_val, ys_val) -> float:
     """Mean total loss over deterministic validation batches."""
     total, count = 0.0, 0
-    for idx in _batches(len(x_val), hp.batch_size):
+    for idx in _batches(len(x_val)):
         out = network.forward_batch(params, x_val[idx])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", losses.BatchTooSmallForContrastive)
             loss, _, _ = losses.total_loss(
                 out["class_logits"], out["state_logits"], out["embedding"],
-                yc_val[idx], ys_val[idx], hp,
+                yc_val[idx], ys_val[idx],
             )
         total += loss * len(idx)
         count += len(idx)
@@ -192,25 +198,25 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
         xs, y_class, y_state = _epoch_crops(train_fc, rng)
         order = rng.permutation(len(train_fc))
         epoch_loss, seen = 0.0, 0
-        for idx in _batches(len(train_fc), hp.batch_size, order):
-            loss, _, grads = network.loss_and_grads(params, xs[idx], y_class[idx], y_state[idx], hp)
+        for idx in _batches(len(train_fc), order):
+            loss, _, grads = network.loss_and_grads(params, xs[idx], y_class[idx], y_state[idx])
             tensors = opt.step(params.tensors, grads, lr)
             params = ModelParams(hp, tensors, tau=params.tau)
             epoch_loss += loss * len(idx)
             seen += len(idx)
 
-        val_loss = validation_loss(params, x_val, yc_val, ys_val, hp)
+        val_loss = validation_loss(params, x_val, yc_val, ys_val)
         log.append(
             {"epoch": epoch, "train_loss": epoch_loss / seen, "val_loss": val_loss, "lr": lr}
         )
 
-        if val_loss < best_val - hp.plateau_threshold:
+        if val_loss < best_val - PLATEAU_THRESHOLD:
             best_val = val_loss
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
-            if epochs_since_improvement >= hp.plateau_patience:
-                lr = max(lr * hp.plateau_factor, hp.min_learning_rate)
+            if epochs_since_improvement >= PLATEAU_PATIENCE:
+                lr = max(lr * PLATEAU_FACTOR, MIN_LEARNING_RATE)
                 epochs_since_improvement = 0
 
     return round_to_f32(params), log

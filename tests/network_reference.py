@@ -74,14 +74,14 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     return out
 
 
-def loss_and_grads(params: ModelParams, x, class_labels, state_labels, hp):
+def loss_and_grads(params: ModelParams, x, class_labels, state_labels):
     """Total loss, per-component values, and gradients for every tensor."""
     cache = forward_batch(params, x, want_cache=True)
     p = params.tensors
-    hidden = hp.hidden
+    hidden = params.hp.hidden
 
     total, components, (d_class_logits, d_state_logits, d_emb) = losses.total_loss(
-        cache["class_logits"], cache["state_logits"], cache["embedding"], class_labels, state_labels, hp
+        cache["class_logits"], cache["state_logits"], cache["embedding"], class_labels, state_labels
     )
 
     grads = {}

@@ -45,7 +45,7 @@ def pick_probe(hp: HyperParams, batch: int, with_pairs: bool):
     raise AssertionError("no kink-free probe point found")
 
 
-def numerical_gradients(params: ModelParams, x, yc, ys, hp: HyperParams) -> dict:
+def numerical_gradients(params: ModelParams, x, yc, ys) -> dict:
     grads = {}
     for name, base in params.tensors.items():
         num = np.zeros_like(base)
@@ -56,8 +56,8 @@ def numerical_gradients(params: ModelParams, x, yc, ys, hp: HyperParams) -> dict
             plus[name][idx] += EPS
             minus = {k: (v.copy() if k == name else v) for k, v in params.tensors.items()}
             minus[name][idx] -= EPS
-            lp = network.batch_loss(ModelParams(hp, plus), x, yc, ys, hp)
-            lm = network.batch_loss(ModelParams(hp, minus), x, yc, ys, hp)
+            lp = network.batch_loss(ModelParams(params.hp, plus), x, yc, ys)
+            lm = network.batch_loss(ModelParams(params.hp, minus), x, yc, ys)
             num[idx] = (lp - lm) / (2 * EPS)
             it.iternext()
         grads[name] = num
@@ -68,10 +68,10 @@ def run_gradcheck(with_pairs: bool) -> dict[str, float]:
     hp = HyperParams(hidden=8)
     batch = 4 if with_pairs else 1
     params, x, yc, ys = pick_probe(hp, batch, with_pairs)
-    _, comps, analytic = network.loss_and_grads(params, x, yc, ys, hp)
+    _, comps, analytic = network.loss_and_grads(params, x, yc, ys)
     if with_pairs:
         assert comps["contrastive"] > 0.0, "contrastive term must be active"
-    numeric = numerical_gradients(params, x, yc, ys, hp)
+    numeric = numerical_gradients(params, x, yc, ys)
     return {name: rel_error(analytic[name], numeric[name]) for name in params.tensors}
 
 
@@ -96,8 +96,8 @@ def test_tau_has_no_training_gradient():
     # move the loss at all
     hp = HyperParams(hidden=8)
     params, x, yc, ys = pick_probe(hp, 4, with_pairs=True)
-    base = network.batch_loss(params, x, yc, ys, hp)
-    shifted = network.batch_loss(params.with_tau(3.0), x, yc, ys, hp)
+    base = network.batch_loss(params, x, yc, ys)
+    shifted = network.batch_loss(params.with_tau(3.0), x, yc, ys)
     assert base == shifted
 
 

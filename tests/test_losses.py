@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from microgext import losses
-from microgext.network import HyperParams
 
 
 class TestCrossEntropy:
@@ -41,7 +40,7 @@ class TestCrossEntropy:
 class TestContrastive:
     def test_two_identical_same_class_is_zero(self):
         e = np.tile(np.array([1.0, 0.0, 0.0]), (2, 1))
-        loss, _ = losses.contrastive_loss(e, np.array([1, 1]), temperature=0.1)
+        loss, _ = losses.contrastive_loss(e, np.array([1, 1]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_all_distinct_classes_warns_and_zero(self):
@@ -62,7 +61,7 @@ class TestContrastive:
 
     def test_four_sample_hand_computed(self):
         # scalar hand computation, fully written out
-        kappa = 0.1
+        kappa = losses.CONTRASTIVE_TEMPERATURE
         e = np.array(
             [
                 [1.0, 0.0],
@@ -83,7 +82,7 @@ class TestContrastive:
             expected_rows.append(-math.log(num / den))
         expected = sum(expected_rows) / 4
 
-        loss, _ = losses.contrastive_loss(e, y, temperature=kappa)
+        loss, _ = losses.contrastive_loss(e, y)
         assert loss == pytest.approx(expected, abs=1e-6)
 
     def test_gradient_matches_finite_difference(self):
@@ -91,7 +90,7 @@ class TestContrastive:
         e = rng.normal(size=(5, 6))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         y = np.array([0, 0, 1, 1, 1])
-        _, grad = losses.contrastive_loss(e, y, temperature=0.1)
+        _, grad = losses.contrastive_loss(e, y)
         eps = 1e-6
         for i in range(5):
             for j in range(6):
@@ -99,7 +98,7 @@ class TestContrastive:
                 ep[i, j] += eps
                 em[i, j] -= eps
                 num = (
-                    losses.contrastive_loss(ep, y, 0.1)[0] - losses.contrastive_loss(em, y, 0.1)[0]
+                    losses.contrastive_loss(ep, y)[0] - losses.contrastive_loss(em, y)[0]
                 ) / (2 * eps)
                 assert abs(num - grad[i, j]) < 1e-5
 
@@ -108,7 +107,6 @@ class TestTotalLoss:
     def test_weighted_decomposition(self):
         # component-sum oracle: each term computed independently
         rng = np.random.default_rng(3)
-        hp = HyperParams()
         b, t = 6, 20
         class_logits = rng.normal(size=(b, 8))
         state_logits = rng.normal(size=(b, t, 5))
@@ -117,26 +115,24 @@ class TestTotalLoss:
         yc = np.array([0, 0, 1, 2, 2, 3])
         ys = rng.integers(0, 5, size=(b, t))
 
-        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys)
         l_class, _ = losses.cross_entropy(class_logits, yc)
         l_state, _ = losses.cross_entropy(state_logits, ys)
-        l_contr, _ = losses.contrastive_loss(emb, yc, hp.contrastive_temperature)
+        l_contr, _ = losses.contrastive_loss(emb, yc)
         assert abs(total - (0.6 * l_class + 0.2 * l_state + 0.2 * l_contr)) < 1e-9
         assert comps["class"] == pytest.approx(l_class)
 
     def test_uniform_class_term(self):
-        hp = HyperParams()
         b, t = 4, 20
         class_logits = np.zeros((b, 8))
         state_logits = np.full((b, t, 5), 3.0)  # uniform too
         emb = np.tile(np.array([1.0] + [0.0] * 7), (b, 1))
         yc = np.array([0, 0, 1, 1])
         ys = np.zeros((b, t), dtype=int)
-        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, comps, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys)
         assert comps["class"] == pytest.approx(math.log(8), abs=1e-12)
 
     def test_perfect_batch_small_loss(self):
-        hp = HyperParams()
         b, t = 2, 20
         yc = np.array([3, 3])
         ys = np.full((b, t), 2)
@@ -145,14 +141,13 @@ class TestTotalLoss:
         state_logits = np.full((b, t, 5), -20.0)
         state_logits[:, :, 2] = 20.0
         emb = np.tile(np.array([0.0, 1.0, 0.0]), (b, 1))
-        total, _, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys, hp)
+        total, _, _ = losses.total_loss(class_logits, state_logits, emb, yc, ys)
         assert total < 0.01
 
     def test_batch_of_one_warns(self):
-        hp = HyperParams()
         with pytest.warns(losses.BatchTooSmallForContrastive):
             total, comps, _ = losses.total_loss(
                 np.zeros((1, 8)), np.zeros((1, 20, 5)), np.ones((1, 4)), np.array([0]),
-                np.zeros((1, 20), dtype=int), hp,
+                np.zeros((1, 20), dtype=int),
             )
         assert comps["contrastive"] == 0.0

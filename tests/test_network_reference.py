@@ -42,11 +42,10 @@ def probe(hidden: int, batch: int, seed: int):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_loss_logits_and_gradients_match_reference(hidden, batch, seed):
     params, x, yc, ys = probe(hidden, batch, seed)
-    hp = params.hp
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a batch of one has no contrastive pairs
-        loss, comps, grads = network.loss_and_grads(params, x, yc, ys, hp)
-        ref_loss, ref_comps, ref_grads = reference.loss_and_grads(params, x, yc, ys, hp)
+        loss, comps, grads = network.loss_and_grads(params, x, yc, ys)
+        ref_loss, ref_comps, ref_grads = reference.loss_and_grads(params, x, yc, ys)
 
     assert abs(loss - ref_loss) <= OUTPUT_RTOL * abs(ref_loss)
     for name in ref_comps:

@@ -312,16 +312,16 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert "garbage.mgc" in r.output and "VersionMismatch" in r.output
 
-    def test_config_with_non_finite_weight_is_a_usage_error(self, tmp_path):
+    def test_config_with_non_finite_value_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"alpha": NaN}')
+        cfg.write_text('{"learning_rate": NaN}')
         ds = tmp_path / "d"
         CliRunner().invoke(main, ["synth", "--n-subjects", "1", "--reps", "1", "--null-reps", "1",
                                   "--out", str(ds)])
         r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
                                       "--config", str(cfg), "--out", str(ds)])
         assert r.exit_code == 2, r.output
-        assert "alpha" in r.output
+        assert "learning_rate" in r.output
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_SCRIPTS))
     def test_stream_malformed_script_is_a_usage_error(self, tmp_path, ckpt_path, name):

@@ -248,9 +248,9 @@ class TestCheckpoint:
 
     def test_header_has_no_fixed_sizes(self, params, tmp_path):
         _, header, _ = split_header(save_checkpoint_bytes(params, tmp_path), 36)
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert sorted(header["hyperparams"]) == sorted(network.HyperParams.__dataclass_fields__)
-        assert len(header["hyperparams"]) == 13
+        assert len(header["hyperparams"]) == 4
 
     @staticmethod
     def crafted(params, tmp_path, edit, extra_tensors=b""):
@@ -261,9 +261,11 @@ class TestCheckpoint:
         return checkpoint_file(tmp_path / "crafted.mgc", join_header(b"", header, tail + extra_tensors))
 
     def test_v1_checkpoint_rejected(self, params, tmp_path):
-        path = self.crafted(params, tmp_path, lambda h: h.update(format_version=1))
-        with pytest.raises(VersionMismatch):
-            load_checkpoint(path)
+        # version 2 carried nine more hyperparams and the spatial embedding
+        for version in (1, 2):
+            path = self.crafted(params, tmp_path, lambda h: h.update(format_version=version))
+            with pytest.raises(VersionMismatch, match=f"version {version}"):
+                load_checkpoint(path)
 
     def test_reversed_class_names_rejected(self, params, tmp_path):
         path = self.crafted(params, tmp_path, lambda h: h.update(class_names=list(CLASS_NAMES)[::-1]))
@@ -276,9 +278,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unknown_hyperparameter_rejected(self, params, tmp_path):
-        path = self.crafted(params, tmp_path, lambda h: h["hyperparams"].update(t_window=20))
-        with pytest.raises(CorruptRecord, match="t_window"):
-            load_checkpoint(path)
+        # t_window is a fixed size, alpha a knob retired to a module constant
+        for key, value in (("t_window", 20), ("alpha", 0.6)):
+            path = self.crafted(params, tmp_path, lambda h: h["hyperparams"].update({key: value}))
+            with pytest.raises(CorruptRecord, match=key):
+                load_checkpoint(path)
 
     def test_missing_hyperparams_rejected(self, params, tmp_path):
         path = self.crafted(params, tmp_path, lambda h: h.pop("hyperparams"))
@@ -306,7 +310,7 @@ class TestCheckpoint:
         with pytest.raises(NonFiniteActivation):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, value", [("alpha", float("nan")), ("hidden", 16.0), ("batch_size", True)])
+    @pytest.mark.parametrize("field, value", [("learning_rate", float("nan")), ("hidden", 16.0), ("max_epochs", True)])
     def test_invalid_hyperparameter_value_rejected(self, params, tmp_path, field, value):
         path = self.crafted(params, tmp_path, lambda h: h["hyperparams"].update({field: value}))
         with pytest.raises(CorruptRecord, match=field):

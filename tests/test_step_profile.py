@@ -40,16 +40,15 @@ def test_tiny_fold_times_every_statement(profile_tool, capsys):
 
 
 def test_timed_function_returns_what_the_original_returns(profile_tool):
-    hp = HyperParams(hidden=8)
-    params = network.init_params(hp, seed=2)
+    params = network.init_params(HyperParams(hidden=8), seed=2)
     rng = np.random.default_rng(2)
     x = rng.normal(0.0, 0.2, (4, *INPUT_SHAPE))
     yc, ys = np.array([0, 0, 3, 3]), rng.integers(0, N_STATES, (4, INPUT_SHAPE[0]))
     times = profile_tool.StatementTimes()
     timed = profile_tool.timed_function(network.loss_and_grads, "network.loss_and_grads", times)
 
-    loss, comps, grads = timed(params, x, yc, ys, hp)
-    want_loss, want_comps, want_grads = network.loss_and_grads(params, x, yc, ys, hp)
+    loss, comps, grads = timed(params, x, yc, ys)
+    want_loss, want_comps, want_grads = network.loss_and_grads(params, x, yc, ys)
     assert loss == want_loss and comps == want_comps
     for name, grad in want_grads.items():
         np.testing.assert_array_equal(grads[name], grad, err_msg=name)

@@ -85,14 +85,13 @@ class TestTraining:
         for name, t in params.tensors.items():
             np.testing.assert_array_equal(t, t.astype(np.float32).astype(np.float64))
 
-    def test_plateau_reduces_learning_rate(self):
+    def test_plateau_reduces_learning_rate(self, monkeypatch):
         # a high improvement threshold makes every epoch count as a stall,
         # so the scheduler must cut the rate after `patience` epochs
+        monkeypatch.setattr(training, "PLATEAU_PATIENCE", 2)
+        monkeypatch.setattr(training, "PLATEAU_THRESHOLD", 1e-2)
         ds = synth.make_dataset(2, 2, 2, seed=4)
-        hp = HyperParams(
-            hidden=8, max_epochs=8, plateau_patience=2, plateau_threshold=1e-2,
-            learning_rate=1e-4, master_seed=0,
-        )
+        hp = HyperParams(hidden=8, max_epochs=8, learning_rate=1e-4, master_seed=0)
         _, log = _train_quiet(ds, 0, hp)
         assert log[-1]["lr"] < hp.learning_rate
-        assert log[-1]["lr"] >= hp.min_learning_rate
+        assert log[-1]["lr"] >= training.MIN_LEARNING_RATE

@@ -1,6 +1,6 @@
 """Check that two source trees produce byte-identical CLI artifacts.
 
-    python3 tools/artifact_identity.py PARENT_SRC CHANGE_SRC [--checkpoint PATH]
+    python3 tools/artifact_identity.py PARENT_SRC CHANGE_SRC [--checkpoints PARENT_MGC CHANGE_MGC]
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``microgext``
 package (the ``src`` directory of two checkouts). Under each tree, in its
@@ -11,12 +11,17 @@ criterion 9:
     train --fold-subject 0 --seed 7 --config {"hidden": 16, "max_epochs": 3}
     eval  --fold-subject 0
 
-and then ``stream --script default --seed S`` for S = 7..14, with the given
-``--checkpoint`` (for example the benchmark's hidden-256 model) or else with
-the checkpoint that tree just trained. It compares ``dataset.mgd``,
-``checkpoint.mgc``, ``training_log.json``, ``report.mgr`` and every stream
-output byte for byte, and each command's exit code. It prints one line per
-artifact and exits 1 on any difference.
+With ``--checkpoints``, each tree then runs ``stream --script default
+--seed S`` for S = 7..14 with its own model: PARENT_MGC under PARENT_SRC and
+CHANGE_MGC under CHANGE_SRC (for example each tree's hidden-256 benchmark
+model), so two trees whose checkpoint formats differ can still be compared.
+Without it the stream runs are skipped, and the tool says so: the tiny
+model trained above does not replay the script, so its sessions would only
+compare two failed runs.
+
+It compares ``dataset.mgd``, ``checkpoint.mgc``, ``training_log.json``,
+``report.mgr`` and every stream output byte for byte, and each command's
+exit code. It prints one line per artifact and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ def commands(work: Path, checkpoint: Path | None) -> dict[str, list[str]]:
                   "--out", str(work)],
         "eval": ["eval", "--checkpoint", str(work / "checkpoint.mgc"), *data, "--out", str(work)],
     }
-    ckpt = checkpoint if checkpoint is not None else work / "checkpoint.mgc"
-    for seed in STREAM_SEEDS:
-        steps[f"stream-{seed}"] = ["stream", "--checkpoint", str(ckpt), "--script", "default",
-                                   "--seed", str(seed), "--out", str(work / f"stream-{seed}")]
+    if checkpoint is not None:
+        for seed in STREAM_SEEDS:
+            steps[f"stream-{seed}"] = ["stream", "--checkpoint", str(checkpoint), "--script", "default",
+                                       "--seed", str(seed), "--out", str(work / f"stream-{seed}")]
     return steps
 
 
@@ -64,10 +69,11 @@ def run_tree(src: Path, work: Path, checkpoint: Path | None) -> dict[str, int]:
     return codes
 
 
-def artifacts() -> list[str]:
+def artifacts(streams: bool) -> list[str]:
     names = list(FOLD_ARTIFACTS)
-    for seed in STREAM_SEEDS:
-        names += [f"stream-{seed}/{name}" for name in STREAM_ARTIFACTS]
+    if streams:
+        for seed in STREAM_SEEDS:
+            names += [f"stream-{seed}/{name}" for name in STREAM_ARTIFACTS]
     return names
 
 
@@ -75,12 +81,13 @@ def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
-def compare(parent: Path, change: Path, parent_codes: dict, change_codes: dict) -> list[tuple[str, bool]]:
+def compare(parent: Path, change: Path, parent_codes: dict, change_codes: dict,
+            streams: bool) -> list[tuple[str, bool]]:
     """(label, identical) per command exit code and per artifact; an
     artifact missing on both sides counts as a difference."""
     rows = [(f"exit {name} {parent_codes[name]} {change_codes[name]}",
              parent_codes[name] == change_codes[name]) for name in parent_codes]
-    for name in artifacts():
+    for name in artifacts(streams):
         a, b = _read(parent / name), _read(change / name)
         rows.append((name, a is not None and a == b))
     return rows
@@ -90,17 +97,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--checkpoint", type=Path, default=None,
-                        help="model for the stream runs (default: each tree's own trained checkpoint)")
+    parser.add_argument("--checkpoints", type=Path, nargs=2, metavar=("PARENT_MGC", "CHANGE_MGC"),
+                        help="the model each tree replays the stream runs with (default: no stream runs)")
     args = parser.parse_args(argv)
+    parent_ckpt, change_ckpt = args.checkpoints or (None, None)
+    streams = args.checkpoints is not None
 
     with tempfile.TemporaryDirectory(prefix="artifact-identity-") as tmp:
         parent, change = Path(tmp, "parent"), Path(tmp, "change")
         parent.mkdir()
         change.mkdir()
-        parent_codes = run_tree(args.parent_src, parent, args.checkpoint)
-        change_codes = run_tree(args.change_src, change, args.checkpoint)
-        rows = compare(parent, change, parent_codes, change_codes)
+        parent_codes = run_tree(args.parent_src, parent, parent_ckpt)
+        change_codes = run_tree(args.change_src, change, change_ckpt)
+        rows = compare(parent, change, parent_codes, change_codes, streams)
+    if not streams:
+        print("skipped  stream runs: no --checkpoints given")
     for label, same in rows:
         print(f"{'same' if same else 'DIFFERS':8s} {label}")
     differing = sum(not same for _, same in rows)
