@@ -5,17 +5,18 @@ come from skeleton, the 8 classes and 5 sub-states from synth):
 
     input (T, J, D)
       -> per-joint linear D -> H, ReLU, layer norm (no affine)
-      -> mean-pool joints -> + joint-mean of the spatial embedding   = h0
+      -> mean-pool joints                                            = h0
       -> + temporal embedding (per frame)                            = h
       -> single-head scaled dot-product self-attention over frames   = a
       static branch:  mean-pool frames -> FC(H -> 8) -> / tau -> softmax
       dynamic branch: concat(a_t, h0_t) -> shared FC(2H -> 5) per frame
       contrastive:    mean-pool frames -> FC(H -> H) -> L2 normalize
 
-The spatial embedding (J x H) is added to every joint's row right before a
-plain mean over joints, so only its joint-mean reaches h0: its rows share
-one gradient and differ only by their initial draw, and the network cannot
-tell which joint a row belongs to.
+Every joint's row goes through the same map before a plain mean over
+joints, so the network cannot tell which joint a row belongs to (Deep Sets:
+a shared per-element map followed by mean pooling is permutation
+invariant). A per-joint embedding added right before that mean would add
+nothing that the temporal embedding and b_state do not absorb.
 
 The temperature tau only rescales logits for the calibrated probabilities;
 it never changes the argmax and is excluded from gradient-based training.
@@ -93,7 +94,6 @@ def param_shapes(hp: HyperParams) -> dict[str, tuple[int, ...]]:
     return {
         "w_in": (N_FEATURES, h),
         "b_in": (h,),
-        "spatial_embed": (NUM_JOINTS, h),
         "temporal_embed": (T_WINDOW, h),
         "wq": (h, h),
         "wk": (h, h),
@@ -140,7 +140,7 @@ def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
         if name.startswith("b_"):
             tensors[name] = np.zeros(shape)
         else:
-            std = 0.02 if name in ("spatial_embed", "temporal_embed") else 1.0 / np.sqrt(shape[0])
+            std = 0.02 if name == "temporal_embed" else 1.0 / np.sqrt(shape[0])
             tensors[name] = rng.normal(0.0, std, shape)
     return ModelParams(hp, tensors, tau=1.0)
 
@@ -173,9 +173,9 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     d = np.maximum(lin, 0.0)
     d -= np.vecdot(d, np.full(hidden, 1.0 / hidden))[:, None]
     inv = 1.0 / np.sqrt(np.vecdot(d, d) / hidden + LN_EPS)
-    # h0 = mean_j(d_j * inv_j) + mean_j(spatial_embed_j)
+    # h0 = mean_j(d_j * inv_j)
     pooled = (inv / NUM_JOINTS).reshape(*frames, 1, NUM_JOINTS) @ d.reshape(*frames, NUM_JOINTS, hidden)
-    h0 = pooled.reshape(*frames, hidden) + p["spatial_embed"].mean(axis=0)
+    h0 = pooled.reshape(*frames, hidden)
     return {"x": xs, "lin": lin, "d": d, "inv": inv, "h0": h0}
 
 
@@ -305,11 +305,9 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels):
     grads["temporal_embed"] = d_h.sum(axis=0)
     d_h0 = d_h + d_h0_direct
 
-    # joint mean-pool and spatial embedding: every joint of a frame gets the
-    # same gradient, d_z (B, T, H)
+    # joint mean-pool: every joint of a frame gets the same gradient, d_z (B, T, H)
     d, inv, lin = cache["d"], cache["inv"], cache["lin"]
     d_z = d_h0 / NUM_JOINTS
-    grads["spatial_embed"] = np.broadcast_to(d_z.sum(axis=(0, 1)), (NUM_JOINTS, hidden))
 
     # layer norm (no affine), with z = d * inv and dz shared by the joints of
     # a frame: dr = inv * (c - z * mean(dz * z)), c = dz - mean(dz). The

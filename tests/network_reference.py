@@ -2,8 +2,7 @@
 
 Deliberately plain and separate from the production code in
 ``microgext.network``: the per-joint stage works on (..., J, H) tensors with
-broadcasting, the spatial embedding is added to every joint before pooling,
-and attention and the ``w_in`` gradient are written as ``einsum``
+broadcasting, and attention and the ``w_in`` gradient are written as ``einsum``
 contractions. It reads the parameters, constants and loss terms of the
 production modules, so the two differ only in how they compute the same
 graph; tests compare them within float64 rounding.
@@ -32,8 +31,7 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     p = params.tensors
     lin = x @ p["w_in"] + p["b_in"]  # (..., J, H)
     z, inv = _layer_norm(np.maximum(lin, 0.0))
-    s = z + p["spatial_embed"]
-    h0 = s.mean(axis=-2)
+    h0 = z.mean(axis=-2)
     return {"x": x, "lin": lin, "z": z, "inv": inv, "h0": h0}
 
 
@@ -124,7 +122,6 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels):
 
     z, inv = cache["z"], cache["inv"]
     d_z = d_h0[:, :, None, :] / NUM_JOINTS
-    grads["spatial_embed"] = np.broadcast_to(d_z, z.shape).sum(axis=(0, 1))
 
     d_r = inv * (d_z - d_z.mean(axis=-1, keepdims=True) - z * (d_z * z).mean(axis=-1, keepdims=True))
     d_lin = d_r * (cache["lin"] > 0.0)

@@ -1,8 +1,8 @@
 """The production network against the plain reference in network_reference.
 
-The production pass works on flat per-joint rows, adds only the joint-mean
-of the spatial embedding after pooling and runs attention as batched
-matmul, so it sums in another order than the reference: results agree to
+The production pass works on flat per-joint rows, pools them with one
+inv-weighted batched matmul and runs attention as batched matmul, so it
+sums in another order than the reference: results agree to
 float64 rounding, not bit for bit. The tolerances are fixed from float64
 epsilon (2.2e-16) with room for the depth of the graph: 1e-12 relative for
 the loss and the logits, 1e-10 relative for every gradient tensor.

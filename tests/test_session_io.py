@@ -251,6 +251,8 @@ class TestCheckpoint:
         assert header["format_version"] == 3
         assert sorted(header["hyperparams"]) == sorted(network.HyperParams.__dataclass_fields__)
         assert len(header["hyperparams"]) == 4
+        assert header["tensor_names"] == sorted(network.param_shapes(params.hp))
+        assert len(header["tensor_names"]) == 12
 
     @staticmethod
     def crafted(params, tmp_path, edit, extra_tensors=b""):
