@@ -14,9 +14,7 @@ come from skeleton, the 8 classes and 5 sub-states from synth):
 
 Every joint's row goes through the same map before a plain mean over
 joints, so the network cannot tell which joint a row belongs to (Deep Sets:
-a shared per-element map followed by mean pooling is permutation
-invariant). A per-joint embedding added right before that mean would add
-nothing that the temporal embedding and b_state do not absorb.
+a shared per-element map followed by mean pooling is permutation invariant).
 
 The temperature tau only rescales logits for the calibrated probabilities;
 it never changes the argmax and is excluded from gradient-based training.
@@ -68,10 +66,6 @@ class NonFiniteActivation(FloatingPointError):
 
 @dataclass(frozen=True)
 class HyperParams:
-    """What a run sets: the hidden width and the training run. The loss
-    weights and the contrastive temperature are ``losses`` constants, the
-    batch size and the plateau schedule ``training`` constants."""
-
     hidden: int = 256
     learning_rate: float = 0.001
     max_epochs: int = 60
@@ -233,17 +227,6 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     if want_cache:
         out.update(stage, h=h, w_qkv=w_qkv, qkv=qkv, attn=attn, g=g, u_cat=u_cat, e_norms=norms)
     return out
-
-
-def batch_loss(params: ModelParams, x, class_labels, state_labels) -> float:
-    """Total training loss of a batch; the finite-difference tests probe this."""
-    out = forward_batch(params, x)
-    with np.errstate(all="raise"):
-        total, _, _ = losses.total_loss(
-            out["class_logits"], out["state_logits"], out["embedding"],
-            class_labels, state_labels,
-        )
-    return float(total)
 
 
 def loss_and_grads(params: ModelParams, x, class_labels, state_labels):

@@ -12,6 +12,7 @@ documented in docs/formats.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -78,6 +79,16 @@ def _read_json_block(fh) -> dict:
     if not isinstance(header, dict):
         raise CorruptRecord("header block is not a JSON object")
     return header
+
+
+@contextlib.contextmanager
+def _open_text(path, kind: str):
+    """``path`` open as UTF-8 text; a byte that does not decode raises CorruptRecord."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CorruptRecord(f"{kind} is not UTF-8 text: {exc}") from exc
 
 
 def _check_header(header: dict, kind: str, version: int) -> None:
@@ -214,7 +225,8 @@ def load_checkpoint(path) -> ModelParams:
     _check_header(header, "checkpoint", MGC_VERSION)
     try:
         hp = HyperParams(**header["hyperparams"])
-        tau = float(np.float32(header["tau"]))
+        with np.errstate(over="ignore"):  # beyond float32 is inf, which ModelParams rejects
+            tau = float(np.float32(header["tau"]))
         if tau <= 0:
             raise ValueError(f"temperature {tau} is not positive")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -268,7 +280,7 @@ def write_session(path, frames: list[HandFrame], events: list[GestureEvent]) -> 
 def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
     frames: list[HandFrame] = []
     events: list[GestureEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path, "session") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"MGS{MGS_VERSION} "):
             raise VersionMismatch(f"unsupported session header: {header!r}")
@@ -331,7 +343,7 @@ def write_command_log(path, entries) -> None:
 
 def read_command_log(path):
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path, "command log") as fh:
         header = fh.readline().strip()
         if header != f"MGL{MGL_VERSION}":
             raise VersionMismatch(f"unsupported command log header: {header!r}")
@@ -342,12 +354,12 @@ def read_command_log(path):
             try:
                 timestamp = float(parts[0])
                 kind = CommandKind(parts[1])
-                delta = 0
-                mode = None
-                if kind in (CommandKind.MOVE_CARET, CommandKind.SELECT_RANGE):
-                    delta = int(parts[2])
-                elif kind is CommandKind.SET_GRANULARITY:
-                    mode = Granularity(parts[2])
+                moves = kind in (CommandKind.MOVE_CARET, CommandKind.SELECT_RANGE)
+                sets_mode = kind is CommandKind.SET_GRANULARITY
+                if len(parts) != 2 + (moves or sets_mode):
+                    raise CorruptRecord(f"{kind.value} record has {len(parts)} fields")
+                delta = int(parts[2]) if moves else 0
+                mode = Granularity(parts[2]) if sets_mode else None
                 entries.append((timestamp, EditCommand(kind, delta=delta, mode=mode)))
             except (ValueError, IndexError) as exc:
                 raise CorruptRecord(f"bad command record at line {lineno}: {exc}") from exc
@@ -385,8 +397,13 @@ def emit_report(report: EvalReport, path, meta: dict | None = None, human: bool 
 
 
 def read_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with _open_text(path, "report") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CorruptRecord(f"report is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CorruptRecord("report is not a JSON object")
     if payload.get("format_version") != MGR_VERSION:
         raise VersionMismatch(f"unsupported report version {payload.get('format_version')}")
     return payload

@@ -95,11 +95,9 @@ def center_states(fc: FeaturizedClip) -> np.ndarray:
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 BATCH_SIZE = 32
-# reduce-on-plateau: after PLATEAU_PATIENCE epochs without a validation loss
-# PLATEAU_THRESHOLD below the best, the rate is scaled by PLATEAU_FACTOR,
-# down to MIN_LEARNING_RATE
-PLATEAU_PATIENCE, PLATEAU_FACTOR, PLATEAU_THRESHOLD = 5, 0.5, 1e-4
-MIN_LEARNING_RATE = 1e-5
+# PLATEAU_PATIENCE epochs without beating the best validation loss by
+# PLATEAU_THRESHOLD scale the rate by PLATEAU_FACTOR, down to MIN_LEARNING_RATE
+PLATEAU_PATIENCE, PLATEAU_FACTOR, PLATEAU_THRESHOLD, MIN_LEARNING_RATE = 5, 0.5, 1e-4, 1e-5
 
 
 def _batches(n: int, order=None):

@@ -1,6 +1,7 @@
 """Evaluation report assembly and invariants."""
 
 import numpy as np
+import pytest
 
 from microgext import evaluation, session_io, training
 from microgext.evaluation import _confusion
@@ -49,6 +50,18 @@ class TestCommandLog:
         back = read_command_log(path)
         assert [c for _, c in back] == [c for _, c in self.ENTRIES]
         assert [t for t, _ in back] == [t for t, _ in self.ENTRIES]
+
+    def test_extra_field_rejected(self, tmp_path):
+        path = tmp_path / "commands.log"
+        path.write_text("MGL1\n0.5 Cut extra junk\n")
+        with pytest.raises(session_io.CorruptRecord, match="line 2"):
+            read_command_log(path)
+
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        path = tmp_path / "commands.log"
+        path.write_bytes(b"MGL1\n0.5 Cut\xff\n")
+        with pytest.raises(session_io.CorruptRecord, match="UTF-8"):
+            read_command_log(path)
 
     def test_header_is_mgl1_independent_of_session_version(self, tmp_path):
         path = tmp_path / "commands.log"

@@ -115,8 +115,8 @@ class TestParams:
             ModelParams(hp, bad)
 
     # the loss weights, the contrastive temperature, the batch size and the
-    # plateau patience are module constants now: HyperParams rejects them as
-    # unknown keywords, naming the key, instead of checking the value
+    # plateau patience are module constants, not fields: HyperParams rejects
+    # them as unknown keywords, naming the key
     @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "learning_rate", "contrastive_temperature"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_weight_rate_or_temperature_rejected(self, field, value):

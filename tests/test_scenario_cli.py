@@ -312,6 +312,16 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert "garbage.mgc" in r.output and "VersionMismatch" in r.output
 
+    def test_stream_undecodable_session_is_a_usage_error(self, tmp_path, ckpt_path):
+        bad = tmp_path / "latin1.mgs"
+        session_io.write_session(bad, [], [])
+        with open(bad, "ab") as fh:
+            fh.write(b"E 1.0 Swipe 0.97\xff\n")
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(bad),
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "latin1.mgs" in r.output and "CorruptRecord" in r.output
+
     def test_config_with_non_finite_value_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"learning_rate": NaN}')

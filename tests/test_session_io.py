@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microgext import network, synth
+from microgext.editor import CommandKind, EditCommand, Granularity
 from microgext.evaluation import EvalReport
 from microgext.fsm import GestureEvent
 from microgext.network import NonFiniteActivation, ShapeMismatch
@@ -21,10 +23,12 @@ from microgext.session_io import (
     VersionMismatch,
     emit_report,
     load_checkpoint,
+    read_command_log,
     read_dataset,
     read_report,
     read_session,
     save_checkpoint,
+    write_command_log,
     write_dataset,
     write_session,
 )
@@ -170,8 +174,12 @@ def test_truncated_dataset_fails_typed(dataset_blob, fuzz_dir, cut):
         read_dataset(path)
 
 
+# up to three (offset, xor mask) byte flips; offsets wrap around the target
+FLIPS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3))
+@given(flips=FLIPS)
 def test_dataset_with_flipped_header_bytes_fails_typed(dataset_blob, fuzz_dir, flips):
     (n,) = struct.unpack_from("<I", dataset_blob, 4)
     blob = bytearray(dataset_blob)
@@ -311,6 +319,13 @@ class TestCheckpoint:
         path = self.crafted(params, tmp_path, lambda h: h.update(tau=float("nan")))
         with pytest.raises(NonFiniteActivation):
             load_checkpoint(path)
+
+    def test_tau_beyond_float32_rejected_without_a_warning(self, params, tmp_path):
+        path = self.crafted(params, tmp_path, lambda h: h.update(tau=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteActivation):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [("learning_rate", float("nan")), ("hidden", 16.0), ("max_epochs", True)])
     def test_invalid_hyperparameter_value_rejected(self, params, tmp_path, field, value):
@@ -454,6 +469,14 @@ class TestSession:
         with pytest.raises(VersionMismatch):
             read_session(path)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        path = tmp_path / "s.mgs"
+        write_session(path, [], [])
+        with open(path, "ab") as fh:
+            fh.write(b"E 1.0 Swipe 0.97\xff\n")
+        with pytest.raises(CorruptRecord, match="UTF-8"):
+            read_session(path)
+
 
 def perfect_report():
     class_conf = np.eye(8, dtype=np.int64) * 10
@@ -490,9 +513,67 @@ class TestReports:
         emit_report(perfect_report(), p2, meta={"seed": 5})
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2]"], ids=["not_json", "array"])
+    def test_non_object_rejected(self, tmp_path, text):
+        path = tmp_path / "r.mgr"
+        path.write_text(text)
+        with pytest.raises(CorruptRecord):
+            read_report(path)
+
     def test_off_diagonals_zero_for_perfect_stub(self, tmp_path):
         path = tmp_path / "r.mgr"
         emit_report(perfect_report(), path)
         payload = read_report(path)
         conf = np.array(payload["class_confusion"])
         assert conf.sum() == np.trace(conf)
+
+
+# every error a text reader may raise; anything else is a reader bug
+TEXT_ERRORS = (VersionMismatch, CorruptRecord, JointOrderMismatch)
+TEXT_READERS = st.sampled_from([read_session, read_command_log, read_report])
+
+
+@pytest.fixture(scope="module")
+def text_blobs(fuzz_dir):
+    """Bytes of one small file per text format, by reader."""
+    subject = synth.subjects_for(0, 1)[0]
+    frames = list(clip_frames(synth.synth_clip(GestureClass.FIST, subject, seed=1)))[:3]
+    write_session(fuzz_dir / "s.mgs", frames, [GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99)])
+    write_command_log(fuzz_dir / "c.log", [
+        (0.5, EditCommand.set_granularity(Granularity.WORD)),
+        (1.0, EditCommand.move_caret(2)),
+        (1.5, EditCommand.select_range(-1)),
+        (2.0, EditCommand(CommandKind.CUT)),
+    ])
+    emit_report(perfect_report(), fuzz_dir / "r.mgr", meta={"seed": 1})
+    return {
+        read_session: (fuzz_dir / "s.mgs").read_bytes(),
+        read_command_log: (fuzz_dir / "c.log").read_bytes(),
+        read_report: (fuzz_dir / "r.mgr").read_bytes(),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=TEXT_READERS, cut=st.integers(0, 10**6))
+def test_truncated_text_file_fails_typed(text_blobs, fuzz_dir, reader, cut):
+    blob = text_blobs[reader]
+    path = fuzz_dir / "cut.txt"
+    path.write_bytes(blob[: cut % len(blob)])
+    try:
+        reader(path)
+    except TEXT_ERRORS:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader=TEXT_READERS, flips=FLIPS)
+def test_text_file_with_flipped_bytes_fails_typed(text_blobs, fuzz_dir, reader, flips):
+    blob = bytearray(text_blobs[reader])
+    for offset, mask in flips:
+        blob[offset % len(blob)] ^= mask
+    path = fuzz_dir / "flipped.txt"
+    path.write_bytes(bytes(blob))
+    try:
+        reader(path)
+    except TEXT_ERRORS:
+        pass
