@@ -66,35 +66,29 @@ def contrastive_loss(embeddings: np.ndarray, class_labels: np.ndarray) -> tuple[
     loss and gradient are 0 and a BatchTooSmallForContrastive warning is
     emitted.
     """
-    e = np.asarray(embeddings, dtype=np.float64)
+    e = np.asarray(embeddings)
     y = np.asarray(class_labels)
     sims = (e @ e.T) / CONTRASTIVE_TEMPERATURE
-    eye = np.eye(len(e), dtype=bool)
-    pos = (y[:, None] == y[None, :]) & ~eye
+    others = ~np.eye(len(e), dtype=bool)
+    pos = (y[:, None] == y[None, :]) & others
     valid = pos.any(axis=1)
     n_valid = int(valid.sum())
     if n_valid == 0:
         warnings.warn("no positive pair in batch; contrastive term set to 0", BatchTooSmallForContrastive)
         return 0.0, np.zeros_like(e)
 
-    neg_inf = -np.inf
-    all_logits = np.where(eye, neg_inf, sims)
-    pos_logits = np.where(pos, sims, neg_inf)
-
-    def _lse(x):
-        m = np.max(x, axis=1)
-        return m + np.log(np.exp(x - m[:, None]).sum(axis=1))
-
-    loss_rows = _lse(all_logits[valid]) - _lse(pos_logits[valid])
-    loss = float(loss_rows.mean())
+    # Both sums run over every row, with the masks as factors and one shift
+    # per row (its maximum, the self-similarity of a unit embedding). An
+    # anchor without a positive gets weight 0, and its positive sum is set
+    # to 1 so that its log stays finite.
+    ex = np.exp(sims - sims.max(axis=1, keepdims=True))
+    all_sum = (ex * others).sum(axis=1)
+    pos_sum = (ex * pos).sum(axis=1) + ~valid
+    loss = float(((np.log(all_sum) - np.log(pos_sum)) * valid).sum() / n_valid)
 
     # dL/dsims: softmax over all non-self minus softmax over positives,
     # per valid anchor, averaged
-    p_all = softmax(all_logits)
-    p_pos = np.zeros_like(sims)
-    p_pos[valid] = softmax(pos_logits[valid])
-    g = np.zeros_like(sims)
-    g[valid] = (p_all[valid] - p_pos[valid]) / n_valid
+    g = ex * (others * (valid / all_sum)[:, None] - pos * (valid / pos_sum)[:, None]) / n_valid
     demb = (g @ e + g.T @ e) / CONTRASTIVE_TEMPERATURE
     return loss, demb
 

@@ -27,6 +27,11 @@ window's rows itself, with no embedding head.
 Both passes work on flat rows: Q, K and V come from one (B*T, H) @ (H, 3H)
 GEMM against ``qkv_weight`` and the state head runs on (B*T, 2H) rows.
 
+Every array takes its dtype from the parameters: ``training.train`` runs the
+step on float32 tensors, while float64 parameters (``init_params``, a loaded
+checkpoint) keep every array in float64. Constants are Python floats or are
+cast to the parameters' dtype, so nothing upcasts a float32 pass.
+
 Reverse-mode gradients are derived manually for this fixed graph; the test
 suite checks every parameter tensor against central finite differences.
 """
@@ -155,9 +160,10 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     """
     p = params.tensors
     hidden = params.hp.hidden
+    dtype = p["w_in"].dtype
     frames = x.shape[:-2]
-    xs = np.empty((x.size // N_FEATURES, N_FEATURES + 1))
-    np.multiply(x.reshape(-1, N_FEATURES), _INPUT_SCALE, out=xs[:, :N_FEATURES])
+    xs = np.empty((x.size // N_FEATURES, N_FEATURES + 1), dtype)
+    np.multiply(x.reshape(-1, N_FEATURES), _INPUT_SCALE.astype(dtype, copy=False), out=xs[:, :N_FEATURES])
     xs[:, N_FEATURES] = 1.0
     lin = xs @ np.concatenate([p["w_in"], p["b_in"][None]])
     # ReLU, then the layer norm (no affine) statistics. Mean and variance
@@ -165,7 +171,7 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     # not depend on where the row sits in the block, so one streamed frame
     # equals its row of a batch bit for bit.
     d = np.maximum(lin, 0.0)
-    d -= np.vecdot(d, np.full(hidden, 1.0 / hidden))[:, None]
+    d -= np.vecdot(d, np.full(hidden, 1.0 / hidden, dtype))[:, None]
     inv = 1.0 / np.sqrt(np.vecdot(d, d) / hidden + LN_EPS)
     # h0 = mean_j(d_j * inv_j)
     pooled = (inv / NUM_JOINTS).reshape(*frames, 1, NUM_JOINTS) @ d.reshape(*frames, NUM_JOINTS, hidden)
@@ -184,9 +190,10 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
 
     Returns a dict with class_logits (B, 8), class_probs (B, 8),
     state_logits (B, T, 5) and embedding (B, H); with want_cache, every
-    intermediate needed by the backward pass is included.
+    intermediate needed by the backward pass is included. x is cast to the
+    parameters' dtype, and every output has that dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.tensors["w_in"].dtype)
     if x.ndim != 4 or x.shape[1:] != INPUT_SHAPE:
         raise ShapeMismatch(f"expected batch of {INPUT_SHAPE}, got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -201,8 +208,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     w_qkv = qkv_weight(params)
     qkv = (h.reshape(-1, hidden) @ w_qkv).reshape(*h.shape[:2], 3 * hidden)
     q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
-    scale = 1.0 / np.sqrt(hidden)
-    attn = losses.softmax((q @ k.transpose(0, 2, 1)) * scale)
+    attn = losses.softmax((q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(hidden)))
     a = attn @ v
 
     g = a.mean(axis=1)  # (B, H)
@@ -277,7 +283,7 @@ def loss_and_grads(params: ModelParams, x, class_labels, state_labels):
     d_attn = d_a @ v.transpose(0, 2, 1)
     np.matmul(attn.transpose(0, 2, 1), d_a, out=d_qkv[..., 2 * hidden :])
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
-    d_scores *= 1.0 / np.sqrt(hidden)
+    d_scores *= 1.0 / math.sqrt(hidden)
     np.matmul(d_scores, k, out=d_qkv[..., :hidden])
     np.matmul(d_scores.transpose(0, 2, 1), q, out=d_qkv[..., hidden : 2 * hidden])
 

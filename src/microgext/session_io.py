@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -137,6 +138,7 @@ def write_dataset(dataset: Dataset, path) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MGD_MAGIC:
             raise VersionMismatch(f"not a dataset file (magic {magic!r})")
@@ -156,10 +158,14 @@ def read_dataset(path) -> Dataset:
                 if hand not in (0, 1):
                     raise CorruptRecord(f"clip record {index} has hand byte {hand}")
                 sizes = [4 * n, 4 * n * NUM_JOINTS * 3, 4 * n * NUM_JOINTS * 4, n]
-                raw = [fh.read(size) for size in sizes]
-                if [len(r) for r in raw] != sizes:
+                # a frame count past the end of the file is checked before
+                # reading, so a corrupt count never sizes a buffer
+                if sum(sizes) > file_size - fh.tell():
                     raise CorruptRecord(f"clip record {index} is truncated")
+                raw = [fh.read(size) for size in sizes]
                 ts, pos, ori = (np.frombuffer(r, dtype="<f4") for r in raw[:3])
+                if not (math.isfinite(duration) and all(np.isfinite(a).all() for a in (ts, pos, ori))):
+                    raise CorruptRecord(f"clip record {index} has non-finite values")
                 sub = np.frombuffer(raw[3], dtype=np.uint8)
                 clips.append(
                     LabeledClip(

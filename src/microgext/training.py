@@ -10,18 +10,25 @@ every epoch; validation and evaluation use the centered window. Everything
 is seeded, reductions are order-deterministic, and the finished parameters
 are rounded onto the float32 grid so a saved checkpoint reproduces the
 in-memory model bit for bit.
+
+Training runs in float32: ``train`` casts the initial parameters once, and
+since every array of the network and the losses takes its dtype from the
+parameters, the step, Adam and the per-epoch validation loss all run on
+float32 tensors. The finished model is handed back in float64, so
+calibration, evaluation, checkpoints and streaming run as before.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import losses, network
 from .network import HyperParams, ModelParams
-from .skeleton import T_WINDOW, features_from_arrays
+from .skeleton import NUM_JOINTS, T_WINDOW, features_from_arrays
 from .synth import CLASS_NAMES, Dataset, GestureClass, LabeledClip, stable_hash
 
 
@@ -129,17 +136,46 @@ class Adam:
         return out
 
 
-def _epoch_crops(fcs: list[FeaturizedClip], rng: np.random.Generator):
-    """One random T-frame crop per clip; returns stacked X, y_class, y_state."""
-    xs = np.empty((len(fcs), T_WINDOW) + fcs[0].features.shape[1:])
-    y_class = np.empty(len(fcs), dtype=np.int64)
-    y_state = np.empty((len(fcs), T_WINDOW), dtype=np.int64)
-    for i, fc in enumerate(fcs):
-        start = int(rng.integers(0, len(fc.features) - T_WINDOW + 1))
-        xs[i] = fc.features[start : start + T_WINDOW]
-        y_class[i] = fc.class_index
-        y_state[i] = fc.substates[start : start + T_WINDOW]
-    return xs, y_class, y_state
+class CropPool(NamedTuple):
+    """A fold's training clips as one block of frames, for cropping.
+
+    features (F, J, D) holds every frame of every clip in one contiguous
+    float32 buffer and substates (F,) their labels; clip i starts at row
+    first_row[i], has class class_index[i] and n_crops[i] = N_i - T + 1
+    possible T-frame crops.
+    """
+
+    features: np.ndarray
+    substates: np.ndarray
+    class_index: np.ndarray
+    first_row: np.ndarray
+    n_crops: np.ndarray
+
+
+def crop_pool(clips: list[LabeledClip]) -> CropPool:
+    """Featurize the clips one at a time into a CropPool."""
+    lengths = np.array([len(c) for c in clips])
+    first_row = np.cumsum(lengths) - lengths
+    features = np.empty((int(lengths.sum()), NUM_JOINTS, network.N_FEATURES), np.float32)
+    substates = np.empty(len(features), np.int64)
+    class_idx = np.empty(len(clips), np.int64)
+    for i, (clip, row) in enumerate(zip(clips, first_row)):
+        fc = featurize_clip(clip)
+        features[row : row + len(clip)] = fc.features
+        substates[row : row + len(clip)] = fc.substates
+        class_idx[i] = fc.class_index
+    return CropPool(features, substates, class_idx, first_row, lengths - T_WINDOW + 1)
+
+
+def _epoch_crops(pool: CropPool, rng: np.random.Generator) -> np.ndarray:
+    """The first row of one random T-frame crop per clip, from one draw."""
+    return pool.first_row + rng.integers(0, pool.n_crops)
+
+
+def _crop_batch(pool: CropPool, crop_rows: np.ndarray, idx: np.ndarray):
+    """(x (B, T, J, D), y_class (B,), y_state (B, T)) of the clips idx."""
+    rows = crop_rows[idx, None] + np.arange(T_WINDOW)
+    return pool.features[rows], pool.class_index[idx], pool.substates[rows]
 
 
 def validation_loss(params: ModelParams, x_val, yc_val, ys_val) -> float:
@@ -159,11 +195,12 @@ def validation_loss(params: ModelParams, x_val, yc_val, ys_val) -> float:
 
 
 def round_to_f32(params: ModelParams) -> ModelParams:
-    """Snap every tensor (and tau) onto the float32 grid.
+    """Snap every tensor (and tau) onto the float32 grid, as float64 tensors.
 
     Checkpoints store 32-bit floats; doing the rounding here makes the
     in-memory model and its saved/restored copy produce bit-identical
-    outputs.
+    outputs. Training hands its float32 tensors through here, so this
+    upcasts them: everything after training runs on float64 parameters.
     """
     tensors = {k: v.astype(np.float32).astype(np.float64) for k, v in params.tensors.items()}
     return ModelParams(params.hp, tensors, tau=float(np.float32(params.tau)))
@@ -172,11 +209,12 @@ def round_to_f32(params: ModelParams) -> ModelParams:
 def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
     """Train one leave-one-subject-out fold.
 
-    Returns (params, log): params are float32-rounded with tau = 1 (run
-    calibration afterwards); the log is a list of per-epoch dicts.
+    Returns (params, log): params are float32-rounded float64 tensors with
+    tau = 1 (run calibration afterwards); the log is a list of per-epoch
+    dicts.
     """
     train_clips, val_clips, _ = split_fold(dataset, fold_subject)
-    train_fc = [featurize_clip(c) for c in train_clips]
+    pool = crop_pool(train_clips)
     val_fc = [featurize_clip(c) for c in val_clips]
 
     x_val = np.stack([center_window(fc) for fc in val_fc])
@@ -185,6 +223,7 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
 
     rng = np.random.Generator(np.random.PCG64(stable_hash(hp.master_seed, "train", fold_subject)))
     params = network.init_params(hp, seed=stable_hash(hp.master_seed, "init", fold_subject))
+    params = ModelParams(hp, {k: v.astype(np.float32) for k, v in params.tensors.items()})
     opt = Adam(params.tensors)
 
     lr = hp.learning_rate
@@ -193,11 +232,12 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
     log = []
 
     for epoch in range(hp.max_epochs):
-        xs, y_class, y_state = _epoch_crops(train_fc, rng)
-        order = rng.permutation(len(train_fc))
+        crop_rows = _epoch_crops(pool, rng)
+        order = rng.permutation(len(train_clips))
         epoch_loss, seen = 0.0, 0
-        for idx in _batches(len(train_fc), order):
-            loss, _, grads = network.loss_and_grads(params, xs[idx], y_class[idx], y_state[idx])
+        for idx in _batches(len(train_clips), order):
+            x, y_class, y_state = _crop_batch(pool, crop_rows, idx)
+            loss, _, grads = network.loss_and_grads(params, x, y_class, y_state)
             tensors = opt.step(params.tensors, grads, lr)
             params = ModelParams(hp, tensors, tau=params.tau)
             epoch_loss += loss * len(idx)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from microgext import stream
 from microgext.losses import BatchTooSmallForContrastive
 from microgext.network import (
     INPUT_SHAPE,
@@ -174,3 +175,60 @@ class TestLossAndGrads:
             np.testing.assert_array_equal(grad, second[2][name], err_msg=name)
         for key in ("class_logits", "class_probs", "state_logits", "embedding"):
             np.testing.assert_array_equal(outs[0][key], outs[1][key], err_msg=key)
+
+
+def as_float32(params: ModelParams) -> ModelParams:
+    """The params with their tensors cast to float32, as training casts them."""
+    return ModelParams(params.hp, {k: v.astype(np.float32) for k, v in params.tensors.items()}, params.tau)
+
+
+class TestFloat32Step:
+    """The training step on float32 parameters: the gradient check stays
+    float64, so these pin the float32 pass to the float64 one."""
+
+    @pytest.fixture(scope="class")
+    def step_inputs(self):
+        # the training configuration: hidden 64, a batch of 32 with pairs
+        params32 = as_float32(init_params(HyperParams(hidden=64), seed=6))
+        rng = np.random.default_rng(7)
+        x = rng.normal(0.0, 0.2, (32, *INPUT_SHAPE)).astype(np.float32)
+        yc = np.repeat(np.arange(8), 4)
+        ys = rng.integers(0, N_STATES, (32, INPUT_SHAPE[0]))
+        return params32, x, yc, ys
+
+    def test_every_cache_and_gradient_tensor_is_float32(self, step_inputs):
+        # a float64 constant anywhere in the pass would upcast what follows it
+        params32, x, yc, ys = step_inputs
+        cache = forward_batch(params32, x.astype(np.float64), want_cache=True)
+        assert {k: v.dtype for k, v in cache.items()} == {k: np.dtype(np.float32) for k in cache}
+        _, _, grads = loss_and_grads(params32, x, yc, ys)
+        assert {k: g.dtype for k, g in grads.items()} == {k: np.dtype(np.float32) for k in grads}
+
+    def test_gradients_agree_with_the_float64_step(self, step_inputs):
+        params32, x, yc, ys = step_inputs
+        params64 = ModelParams(params32.hp, {k: v.astype(np.float64) for k, v in params32.tensors.items()})
+        loss32, _, grads32 = loss_and_grads(params32, x, yc, ys)
+        loss64, _, grads64 = loss_and_grads(params64, x.astype(np.float64), yc, ys)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for name, g64 in grads64.items():
+            worst = np.abs(grads32[name] - g64).max()
+            assert worst <= 1e-4 * np.abs(g64).max(), (name, worst)
+
+    def test_gradients_bit_identical_with_one_and_two_blas_threads(self, step_inputs):
+        calls = stream._openblas_thread_calls()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        setter, getter = calls
+        params32, x, yc, ys = step_inputs
+        previous = getter()
+        try:
+            results = []
+            for threads in (1, 2):
+                setter(threads)
+                results.append(loss_and_grads(params32, x, yc, ys))
+        finally:
+            setter(previous)
+        (loss1, _, grads1), (loss2, _, grads2) = results
+        assert loss1 == loss2
+        for name, grad in grads1.items():
+            np.testing.assert_array_equal(grad, grads2[name], err_msg=name)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,23 @@ class TestDataset:
         with pytest.raises(CorruptRecord, match="hand byte 2"):
             read_dataset(path)
 
+    def test_frame_count_past_the_end_rejected_before_reading(self, dataset, tmp_path):
+        # the count's high byte: 2**31 frames would size a buffer of ~700 GB
+        path = tmp_path / "d.mgd"
+        self._patch_first_record(dataset, path, 9, 0x80)
+        with pytest.raises(CorruptRecord, match="record 0 is truncated"):
+            read_dataset(path)
+
+    def test_non_finite_clip_value_rejected(self, dataset, tmp_path):
+        clip = dataset.clips[0]
+        positions = clip.joint_positions.copy()
+        positions[3, INDEX_TIP, 1] = np.nan
+        bad = synth.Dataset((replace(clip, joint_positions=positions), *dataset.clips[1:]), dataset.master_seed)
+        path = tmp_path / "d.mgd"
+        write_dataset(bad, path)
+        with pytest.raises(CorruptRecord, match="record 0 has non-finite values"):
+            read_dataset(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mgd"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -191,6 +209,49 @@ def test_dataset_with_flipped_header_bytes_fails_typed(dataset_blob, fuzz_dir, f
         read_dataset(path)
     except TYPED_ERRORS:
         pass
+
+
+def clip_record_heads(blob: bytes) -> list[int]:
+    """Offset of every clip record of a .mgd file; each record starts with
+    its (subject, class, hand, frame count, duration) head."""
+    (n,) = struct.unpack_from("<I", blob, 4)
+    head = struct.calcsize("<iBBIf")
+    offsets, at = [], 8 + n
+    while at < len(blob):
+        offsets.append(at)
+        frames = struct.unpack_from("<iBBIf", blob, at)[3]
+        at += head + frames * (4 + 4 * NUM_JOINTS * 3 + 4 * NUM_JOINTS * 4 + 1)
+    return offsets
+
+
+# flips past the header: in a record head (subject, class, hand, frame
+# count, duration) or anywhere in the clip records
+RECORD_FLIPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(1, 255)), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flips=RECORD_FLIPS)
+def test_dataset_with_flipped_clip_record_bytes_reads_or_fails_typed(dataset_blob, fuzz_dir, flips):
+    heads = clip_record_heads(dataset_blob)
+    head_size = struct.calcsize("<iBBIf")
+    blob = bytearray(dataset_blob)
+    for in_head, offset, mask in flips:
+        if in_head:
+            offset = heads[offset % len(heads)] + offset % head_size
+        else:
+            offset = heads[0] + offset % (len(blob) - heads[0])
+        blob[offset] ^= mask
+    path = fuzz_dir / "flipped-record.mgd"
+    path.write_bytes(bytes(blob))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN cast warning would mean non-finite values got through
+            dataset = read_dataset(path)
+    except TYPED_ERRORS:
+        return
+    assert len(dataset.clips) == len(heads)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import pytest
 
 from microgext import network, synth, training
 from microgext.network import HyperParams
+from microgext.skeleton import T_WINDOW
 from microgext.training import EmptyFold, MissingClass, split_fold
 
 
@@ -45,6 +46,41 @@ class TestSplitFold:
         )
         with pytest.raises(MissingClass):
             split_fold(no_fist, 0)
+
+
+def epoch_crops_reference(fcs, rng):
+    """One random T-frame crop per clip, drawn and copied clip by clip: the
+    loop that training's one-draw crops and batch gathers replace."""
+    xs = np.empty((len(fcs), T_WINDOW) + fcs[0].features.shape[1:])
+    y_class = np.empty(len(fcs), dtype=np.int64)
+    y_state = np.empty((len(fcs), T_WINDOW), dtype=np.int64)
+    for i, fc in enumerate(fcs):
+        start = int(rng.integers(0, len(fc.features) - T_WINDOW + 1))
+        xs[i] = fc.features[start : start + T_WINDOW]
+        y_class[i] = fc.class_index
+        y_state[i] = fc.substates[start : start + T_WINDOW]
+    return xs, y_class, y_state
+
+
+class TestCrops:
+    def test_one_draw_crops_equal_the_per_clip_loop(self, small_dataset):
+        clips, _, _ = split_fold(small_dataset, 0)
+        fcs = [training.featurize_clip(c) for c in clips]
+        pool = training.crop_pool(clips)
+        assert pool.features.dtype == np.float32 and pool.features.flags.c_contiguous
+        ref_rng, rng = (np.random.Generator(np.random.PCG64(21)) for _ in range(2))
+        for _ in range(3):  # epochs: the two draws must leave both generators in step
+            xs, y_class, y_state = epoch_crops_reference(fcs, ref_rng)
+            crop_rows = training._epoch_crops(pool, rng)
+            order = rng.permutation(len(clips))
+            np.testing.assert_array_equal(order, ref_rng.permutation(len(clips)))
+            for idx in training._batches(len(clips), order):
+                x, yc, ys = training._crop_batch(pool, crop_rows, idx)
+                assert x.dtype == np.float32
+                # the step casts to float32, so the crops it sees are unchanged
+                np.testing.assert_array_equal(x, xs[idx].astype(np.float32))
+                np.testing.assert_array_equal(yc, y_class[idx])
+                np.testing.assert_array_equal(ys, y_state[idx])
 
 
 class TestTraining:
