@@ -132,14 +132,12 @@ def cmd_train(dataset_path, fold_subject, seed, config_path, out):
         raise click.UsageError(f"{config_path}: {exc}") from exc
     out_dir = _prepare_out(out, config_path)
     dataset = _read(session_io.read_dataset, dataset_path)
-    _, val_clips, _ = _split(dataset, fold_subject)
+    train_clips, val_clips, _ = _split(dataset, fold_subject)
 
     t0 = time.perf_counter()
-    params, log = training.train(dataset, fold_subject, hp)
-    val_fc = [training.featurize_clip(c) for c in val_clips]
-    x_val = np.stack([training.center_window(fc) for fc in val_fc])
-    y_val = np.array([fc.class_index for fc in val_fc])
-    params = calibration.calibrate(params, x_val, y_val)
+    val = training.validation_windows(val_clips)
+    params, log = training.fit(training.crop_pool(train_clips), val, fold_subject, hp)
+    params = calibration.calibrate(params, val.x, val.y_class)
     elapsed = time.perf_counter() - t0
 
     ckpt = out_dir / "checkpoint.mgc"

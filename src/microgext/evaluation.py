@@ -42,36 +42,36 @@ def _confusion(true: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _batched(params: ModelParams, features: np.ndarray, starts: np.ndarray, head: str) -> np.ndarray:
+    """One head's logits for the T-frame windows of ``features`` that begin
+    at ``starts``, gathered and run EVAL_BATCH windows at a time."""
+    offsets = np.arange(T_WINDOW)
+    out = [
+        network.forward_batch(params, features[starts[i : i + EVAL_BATCH, None] + offsets])[head]
+        for i in range(0, len(starts), EVAL_BATCH)
+    ]
+    return np.concatenate(out)
+
+
 def evaluate(params: ModelParams, clips: list[LabeledClip]) -> EvalReport:
     """Evaluate a trained model on held-out clips.
 
     Class predictions use one centered window per clip. State predictions
     use windows strided across each whole clip, so every sub-state phase of
     a swipe contributes support (a centered window only sees the phase the
-    clip happens to be in at its midpoint).
+    clip happens to be in at its midpoint). The clips are featurized
+    once, into one float64 buffer that both kinds of window read.
     """
-    fcs = [training.featurize_clip(c) for c in clips]
-    x = np.stack([training.center_window(fc) for fc in fcs])
-    y_class = np.array([fc.class_index for fc in fcs], dtype=np.int64)
+    pool = training.crop_pool(clips, np.float64)
+    y_class = pool.class_index
+    logits = _batched(params, pool.features, training.center_rows(pool), "class_logits")
 
-    logits = []
-    for i in range(0, len(x), EVAL_BATCH):
-        out = network.forward_batch(params, x[i : i + EVAL_BATCH])
-        logits.append(out["class_logits"])
-    logits = np.concatenate(logits)
-
-    xs_state, ys_state = [], []
-    for fc in fcs:
-        for start in range(0, len(fc.features) - T_WINDOW + 1, T_WINDOW // 2):
-            xs_state.append(fc.features[start : start + T_WINDOW])
-            ys_state.append(fc.substates[start : start + T_WINDOW])
-    xs_state = np.stack(xs_state)
-    y_state = np.stack(ys_state).astype(np.int64)
-    state_preds = []
-    for i in range(0, len(xs_state), EVAL_BATCH):
-        out = network.forward_batch(params, xs_state[i : i + EVAL_BATCH])
-        state_preds.append(out["state_logits"].argmax(axis=-1))
-    state_preds = np.concatenate(state_preds)
+    # every T/2-th window start of each clip
+    starts = np.concatenate(
+        [row + np.arange(0, n, T_WINDOW // 2) for row, n in zip(pool.first_row, pool.n_crops)]
+    )
+    y_state = pool.substates[starts[:, None] + np.arange(T_WINDOW)]
+    state_preds = _batched(params, pool.features, starts, "state_logits").argmax(axis=-1)
 
     class_preds = logits.argmax(axis=-1)
     class_confusion = _confusion(y_class, class_preds, N_CLASSES)

@@ -28,7 +28,7 @@ from .evaluation import EvalReport, render_report
 from .fsm import GestureEvent
 from .network import HyperParams, ModelParams
 from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness
-from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip
+from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip, SubState
 
 MGD_MAGIC = b"MGD1"
 MGC_MAGIC = b"MGC1"
@@ -167,6 +167,8 @@ def read_dataset(path) -> Dataset:
                 if not (math.isfinite(duration) and all(np.isfinite(a).all() for a in (ts, pos, ori))):
                     raise CorruptRecord(f"clip record {index} has non-finite values")
                 sub = np.frombuffer(raw[3], dtype=np.uint8)
+                if np.any(sub > SubState.NOT_SWIPING):
+                    raise CorruptRecord(f"clip record {index} has sub-state byte {sub.max()}")
                 clips.append(
                     LabeledClip(
                         gesture=GestureClass(CLASS_NAMES[gesture_idx]),
@@ -174,7 +176,7 @@ def read_dataset(path) -> Dataset:
                         timestamps=ts,
                         joint_positions=pos.reshape(n, NUM_JOINTS, 3),
                         joint_orientations=ori.reshape(n, NUM_JOINTS, 4),
-                        substates=sub.copy(),
+                        substates=sub,
                         duration=float(np.float32(duration)),
                         handedness=Handedness.RIGHT if hand == 0 else Handedness.LEFT,
                     )

@@ -11,8 +11,10 @@ unintentional movement. Clips are built from a small pose model
 
 with per-subject scale/tempo variation and per-frame Gaussian jitter.
 Everything is a pure function of its arguments including seeds, so datasets
-are reproducible bit for bit; all stored floats are quantized to float32 at
-clip assembly, which keeps file round trips exact.
+are reproducible bit for bit. Clip assembly quantizes every stored float to
+float32, and clips store their joint positions and orientations as float32
+arrays, which halves a dataset's memory and keeps file round trips exact;
+whatever computes on them upcasts to float64 first.
 
 Canonical pose constants live in POSES below. They are design values, not
 captured human data: gestures are separated by their curl patterns and thumb
@@ -103,7 +105,9 @@ class SubjectParams:
 class LabeledClip:
     """One labeled recording: per-frame joint arrays plus sub-state labels.
 
-    Arrays hold float32-exact values.
+    Every array is a read-only copy of the caller's values. Joint positions
+    and orientations are stored as float32 (what ``.mgd`` files hold), the
+    timestamps as float64 and the sub-states as uint8.
     """
 
     gesture: GestureClass
@@ -116,10 +120,10 @@ class LabeledClip:
     handedness: Handedness = Handedness.RIGHT
 
     def __post_init__(self):
-        ts = _freeze(np.asarray(self.timestamps, np.float64))
-        pos = _freeze(np.asarray(self.joint_positions, np.float64))
-        ori = _freeze(np.asarray(self.joint_orientations, np.float64))
-        sub = _freeze(np.asarray(self.substates, np.uint8))
+        ts = _freeze(self.timestamps, np.float64)
+        pos = _freeze(self.joint_positions, np.float32)
+        ori = _freeze(self.joint_orientations, np.float32)
+        sub = _freeze(self.substates, np.uint8)
         n = len(ts)
         if pos.shape != (n, NUM_JOINTS, 3) or ori.shape != (n, NUM_JOINTS, 4) or sub.shape != (n,):
             raise ValueError("inconsistent clip array shapes")
@@ -132,8 +136,9 @@ class LabeledClip:
         return len(self.timestamps)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+def _freeze(a, dtype) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -293,7 +298,8 @@ def assemble_clip_arrays(
     subject: SubjectParams,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World-space (timestamps, positions, orientations), float32-quantized.
+    """World-space (timestamps, positions, orientations), float32-quantized:
+    the timestamps as float64 values, the joint arrays as float32 arrays.
 
     wrist_pos is (N, 3) and wrist_quat (N, 4); jitter is applied when an rng
     is supplied (joint position noise plus a small wrist wobble).
@@ -314,9 +320,7 @@ def assemble_clip_arrays(
     world_ori = quat.multiply(wq[:, None, :], ori)
     world_ori /= np.linalg.norm(world_ori, axis=2, keepdims=True)
     ts32 = np.asarray(timestamps, np.float64).astype(np.float32).astype(np.float64)
-    pos32 = world_pos.astype(np.float32).astype(np.float64)
-    ori32 = world_ori.astype(np.float32).astype(np.float64)
-    return ts32, pos32, ori32
+    return ts32, world_pos.astype(np.float32), world_ori.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +466,12 @@ def label_substates(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:
 
     Swipe: project the thumb tip onto the IndexTip -> IndexBelowTip segment,
     clamp the normalized position u to [0, 1] and quantize into four equal
-    half-open bins (u = 1 maps to 3). Every other class labels 4.
+    half-open bins (u = 1 maps to 3). Every other class labels 4. The
+    projection runs in float64 whatever the positions' dtype.
     """
     if gesture is not GestureClass.SWIPE:
         return np.full(len(positions), SubState.NOT_SWIPING, np.uint8)
+    positions = np.asarray(positions, np.float64)
     seg = positions[:, INDEX_BELOW] - positions[:, INDEX_TIP]
     rel = positions[:, THUMB_TIP] - positions[:, INDEX_TIP]
     u = np.einsum("nd,nd->n", rel, seg) / np.einsum("nd,nd->n", seg, seg)

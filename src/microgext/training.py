@@ -11,6 +11,12 @@ is seeded, reductions are order-deterministic, and the finished parameters
 are rounded onto the float32 grid so a saved checkpoint reproduces the
 in-memory model bit for bit.
 
+A fold is featurized once. The training clips go, a chunk of clips per
+``features_from_arrays`` call, straight into one float32 crop pool; of the
+validation clips only the centred windows are featurized, and the caller
+that calibrates gets those same windows. Features are per frame, so a
+chunk, a window or a whole clip gives every frame the same bits.
+
 Training runs in float32: ``train`` casts the initial parameters once, and
 since every array of the network and the losses takes its dtype from the
 parameters, the step, Adam and the per-epoch validation loss all run on
@@ -95,11 +101,6 @@ def center_window(fc: FeaturizedClip) -> np.ndarray:
     return fc.features[start : start + T_WINDOW]
 
 
-def center_states(fc: FeaturizedClip) -> np.ndarray:
-    start = (len(fc.substates) - T_WINDOW) // 2
-    return fc.substates[start : start + T_WINDOW]
-
-
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 BATCH_SIZE = 32
 # PLATEAU_PATIENCE epochs without beating the best validation loss by
@@ -137,10 +138,10 @@ class Adam:
 
 
 class CropPool(NamedTuple):
-    """A fold's training clips as one block of frames, for cropping.
+    """Clips as one block of frames, for cropping.
 
     features (F, J, D) holds every frame of every clip in one contiguous
-    float32 buffer and substates (F,) their labels; clip i starts at row
+    buffer and substates (F,) their labels; clip i starts at row
     first_row[i], has class class_index[i] and n_crops[i] = N_i - T + 1
     possible T-frame crops.
     """
@@ -152,19 +153,52 @@ class CropPool(NamedTuple):
     n_crops: np.ndarray
 
 
-def crop_pool(clips: list[LabeledClip]) -> CropPool:
-    """Featurize the clips one at a time into a CropPool."""
+# clips featurized per call: 1,152-2,880 frames, whose float64 temporaries
+# stay near the L2 cache and are reused from chunk to chunk
+FEATURIZE_CLIPS = 8
+
+
+def crop_pool(clips: list[LabeledClip], dtype=np.float32) -> CropPool:
+    """Featurize the clips, FEATURIZE_CLIPS at a time, into a CropPool
+    whose features are ``dtype``: float32 for training, float64 where the
+    model reads them as they are."""
     lengths = np.array([len(c) for c in clips])
     first_row = np.cumsum(lengths) - lengths
-    features = np.empty((int(lengths.sum()), NUM_JOINTS, network.N_FEATURES), np.float32)
-    substates = np.empty(len(features), np.int64)
-    class_idx = np.empty(len(clips), np.int64)
-    for i, (clip, row) in enumerate(zip(clips, first_row)):
-        fc = featurize_clip(clip)
-        features[row : row + len(clip)] = fc.features
-        substates[row : row + len(clip)] = fc.substates
-        class_idx[i] = fc.class_index
+    features = np.empty((int(lengths.sum()), NUM_JOINTS, network.N_FEATURES), dtype)
+    for i in range(0, len(clips), FEATURIZE_CLIPS):
+        chunk = clips[i : i + FEATURIZE_CLIPS]
+        row = first_row[i]
+        pos = np.concatenate([c.joint_positions for c in chunk])
+        ori = np.concatenate([c.joint_orientations for c in chunk])
+        features[row : row + len(pos)] = features_from_arrays(pos, ori)
+    substates = np.concatenate([c.substates for c in clips]).astype(np.int64)
+    class_idx = np.array([class_index(c.gesture) for c in clips], dtype=np.int64)
     return CropPool(features, substates, class_idx, first_row, lengths - T_WINDOW + 1)
+
+
+def center_rows(pool: CropPool) -> np.ndarray:
+    """The first pool row of each clip's centred T-frame window."""
+    return pool.first_row + (pool.n_crops - 1) // 2
+
+
+class Windows(NamedTuple):
+    """One centred T-frame window per clip: features x (V, T, J, D) in
+    float64, classes y_class (V,) and sub-states y_state (V, T)."""
+
+    x: np.ndarray
+    y_class: np.ndarray
+    y_state: np.ndarray
+
+
+def validation_windows(clips: list[LabeledClip]) -> Windows:
+    """The clips' centred windows, featurizing only their frames."""
+    frames = [slice(start, start + T_WINDOW) for start in ((len(c) - T_WINDOW) // 2 for c in clips)]
+    x = features_from_arrays(
+        np.stack([c.joint_positions[f] for c, f in zip(clips, frames)]),
+        np.stack([c.joint_orientations[f] for c, f in zip(clips, frames)]),
+    )
+    y_class = np.array([class_index(c.gesture) for c in clips], dtype=np.int64)
+    return Windows(x, y_class, np.stack([c.substates[f] for c, f in zip(clips, frames)]))
 
 
 def _epoch_crops(pool: CropPool, rng: np.random.Generator) -> np.ndarray:
@@ -214,17 +248,17 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
     dicts.
     """
     train_clips, val_clips, _ = split_fold(dataset, fold_subject)
-    pool = crop_pool(train_clips)
-    val_fc = [featurize_clip(c) for c in val_clips]
+    return fit(crop_pool(train_clips), validation_windows(val_clips), fold_subject, hp)
 
-    x_val = np.stack([center_window(fc) for fc in val_fc])
-    yc_val = np.array([fc.class_index for fc in val_fc], dtype=np.int64)
-    ys_val = np.stack([center_states(fc) for fc in val_fc])
 
+def fit(pool: CropPool, val: Windows, fold_subject: int, hp: HyperParams):
+    """``train`` on a featurized fold: the training clips' crop pool and
+    the validation clips' centred windows."""
     rng = np.random.Generator(np.random.PCG64(stable_hash(hp.master_seed, "train", fold_subject)))
     params = network.init_params(hp, seed=stable_hash(hp.master_seed, "init", fold_subject))
     params = ModelParams(hp, {k: v.astype(np.float32) for k, v in params.tensors.items()})
     opt = Adam(params.tensors)
+    n_clips = len(pool.first_row)
 
     lr = hp.learning_rate
     best_val = np.inf
@@ -233,9 +267,9 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
 
     for epoch in range(hp.max_epochs):
         crop_rows = _epoch_crops(pool, rng)
-        order = rng.permutation(len(train_clips))
+        order = rng.permutation(n_clips)
         epoch_loss, seen = 0.0, 0
-        for idx in _batches(len(train_clips), order):
+        for idx in _batches(n_clips, order):
             x, y_class, y_state = _crop_batch(pool, crop_rows, idx)
             loss, _, grads = network.loss_and_grads(params, x, y_class, y_state)
             tensors = opt.step(params.tensors, grads, lr)
@@ -243,7 +277,7 @@ def train(dataset: Dataset, fold_subject: int, hp: HyperParams):
             epoch_loss += loss * len(idx)
             seen += len(idx)
 
-        val_loss = validation_loss(params, x_val, yc_val, ys_val)
+        val_loss = validation_loss(params, val.x, val.y_class, val.y_state)
         log.append(
             {"epoch": epoch, "train_loss": epoch_loss / seen, "val_loss": val_loss, "lr": lr}
         )

@@ -3,11 +3,55 @@
 import numpy as np
 import pytest
 
-from microgext import evaluation, session_io, training
+from microgext import calibration, evaluation, network, session_io, training
 from microgext.evaluation import _confusion
 from microgext.session_io import read_command_log, write_command_log
 from microgext.editor import CommandKind, Document, EditCommand, Granularity, apply
+from microgext.skeleton import T_WINDOW
 from microgext.training import split_fold
+
+
+def evaluate_reference(params, clips):
+    """(class logits, state predictions, state labels) the clip-by-clip way:
+    featurize each clip, stack every centred and every T/2-strided window,
+    then run them in EVAL_BATCH slices."""
+    fcs = [training.featurize_clip(c) for c in clips]
+    x = np.stack([training.center_window(fc) for fc in fcs])
+    xs, ys = [], []
+    for fc in fcs:
+        for start in range(0, len(fc.features) - T_WINDOW + 1, T_WINDOW // 2):
+            xs.append(fc.features[start : start + T_WINDOW])
+            ys.append(fc.substates[start : start + T_WINDOW])
+    xs = np.stack(xs)
+    b = evaluation.EVAL_BATCH
+    logits = np.concatenate([network.forward_batch(params, x[i : i + b])["class_logits"] for i in range(0, len(x), b)])
+    states = np.concatenate(
+        [network.forward_batch(params, xs[i : i + b])["state_logits"].argmax(-1) for i in range(0, len(xs), b)]
+    )
+    return logits, states, np.stack(ys)
+
+
+class TestBufferedWindows:
+    def test_report_equals_the_clip_by_clip_windows(self, tiny_trained, small_dataset, monkeypatch):
+        params, _ = tiny_trained
+        _, _, test_clips = split_fold(small_dataset, 0)
+        logits, states, y_state = evaluate_reference(params, test_clips)
+        assert len(states) > evaluation.EVAL_BATCH  # more than one state batch
+        seen = []
+        ece = calibration.ece_for_logits
+
+        def recording_ece(lg, labels, tau):
+            seen.append(lg)
+            return ece(lg, labels, tau)
+
+        monkeypatch.setattr(calibration, "ece_for_logits", recording_ece)
+        report = evaluation.evaluate(params, test_clips)
+        np.testing.assert_array_equal(seen[0], logits)
+        y_class = [training.class_index(c.gesture) for c in test_clips]
+        np.testing.assert_array_equal(report.class_confusion, _confusion(np.array(y_class), logits.argmax(-1), 8))
+        np.testing.assert_array_equal(report.state_confusion, _confusion(y_state.reshape(-1), states.reshape(-1), 5))
+        assert report.ece_before == ece(logits, y_class, 1.0)
+        assert report.ece_after == ece(logits, y_class, params.tau)
 
 
 class TestConfusionAssembly:

@@ -1,6 +1,7 @@
 """Scenario compilation and the CLI surface (exit codes, determinism)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,20 @@ class TestCli:
         r = CliRunner().invoke(main, ["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
         assert r.exit_code == 2, r.output
         assert "garbage.mgd" in r.output and "VersionMismatch" in r.output
+
+    def test_sub_state_past_4_is_a_usage_error(self, tmp_path, ckpt_path):
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "2", "--reps", "2", "--null-reps", "2",
+                                  "--out", str(ds)])
+        dataset = session_io.read_dataset(ds / "dataset.mgd")
+        clips = list(dataset.clips)
+        clips[0] = replace(clips[0], substates=np.full(len(clips[0]), 9))
+        bad = tmp_path / "substate9.mgd"
+        session_io.write_dataset(replace(dataset, clips=tuple(clips)), bad)
+        for argv in (["train"], ["eval", "--checkpoint", str(ckpt_path)]):
+            r = CliRunner().invoke(main, [*argv, "--dataset", str(bad), "--out", str(tmp_path / "o")])
+            assert r.exit_code == 2, r.output
+            assert "substate9.mgd" in r.output and "CorruptRecord" in r.output
 
     def test_eval_bad_checkpoint_is_a_usage_error(self, tmp_path, ckpt_path):
         bad = tmp_path / "flipped.mgc"

@@ -82,6 +82,8 @@ class TestDataset:
         assert len(back.clips) == len(dataset.clips)
         for a, b in zip(dataset.clips, back.clips):
             assert clips_equal(a, b)
+            for array in (b.joint_positions, b.joint_orientations):
+                assert array.dtype == np.float32 and not array.flags.writeable
 
     def test_deterministic_bytes(self, dataset, tmp_path):
         p1, p2 = tmp_path / "a.mgd", tmp_path / "b.mgd"
@@ -137,6 +139,17 @@ class TestDataset:
         with pytest.raises(CorruptRecord, match="record 0 is truncated"):
             read_dataset(path)
 
+    def test_sub_state_byte_past_4_rejected(self, dataset, tmp_path):
+        path = tmp_path / "d.mgd"
+        write_dataset(dataset, path)
+        blob = bytearray(path.read_bytes())
+        first = clip_record_heads(bytes(blob))[0]
+        n = len(dataset.clips[0])
+        blob[first + struct.calcsize("<iBBIf") + n * (4 + 4 * NUM_JOINTS * 7) + 5] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptRecord, match="record 0 has sub-state byte 9"):
+            read_dataset(path)
+
     def test_non_finite_clip_value_rejected(self, dataset, tmp_path):
         clip = dataset.clips[0]
         positions = clip.joint_positions.copy()
@@ -183,9 +196,14 @@ def dataset_blob(fuzz_dir):
     return path.read_bytes()
 
 
+# The .mgd properties take the blob through ``request`` inside the test: a
+# falsifying example then prints the drawn cut or flips, not 430 KB of bytes.
+
+
 @settings(max_examples=150, deadline=None)
 @given(cut=st.integers(0, 10**7))
-def test_truncated_dataset_fails_typed(dataset_blob, fuzz_dir, cut):
+def test_truncated_dataset_fails_typed(request, fuzz_dir, cut):
+    dataset_blob = request.getfixturevalue("dataset_blob")
     path = fuzz_dir / "cut.mgd"
     path.write_bytes(dataset_blob[: cut % len(dataset_blob)])
     with pytest.raises(TYPED_ERRORS):
@@ -198,7 +216,8 @@ FLIPS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size
 
 @settings(max_examples=150, deadline=None)
 @given(flips=FLIPS)
-def test_dataset_with_flipped_header_bytes_fails_typed(dataset_blob, fuzz_dir, flips):
+def test_dataset_with_flipped_header_bytes_fails_typed(request, fuzz_dir, flips):
+    dataset_blob = request.getfixturevalue("dataset_blob")
     (n,) = struct.unpack_from("<I", dataset_blob, 4)
     blob = bytearray(dataset_blob)
     for offset, mask in flips:
@@ -233,7 +252,8 @@ RECORD_FLIPS = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(flips=RECORD_FLIPS)
-def test_dataset_with_flipped_clip_record_bytes_reads_or_fails_typed(dataset_blob, fuzz_dir, flips):
+def test_dataset_with_flipped_clip_record_bytes_reads_or_fails_typed(request, fuzz_dir, flips):
+    dataset_blob = request.getfixturevalue("dataset_blob")
     heads = clip_record_heads(dataset_blob)
     head_size = struct.calcsize("<iBBIf")
     blob = bytearray(dataset_blob)

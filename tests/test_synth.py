@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from microgext.skeleton import INDEX_BELOW, INDEX_TIP, THUMB_TIP
+from microgext.skeleton import INDEX_BELOW, INDEX_TIP, THUMB_TIP, features_from_arrays
 from microgext.synth import (
     CLASS_NAMES,
+    LabeledClip,
     PINCH_CONTACT_M,
     STATIC_FRAMES,
     SWIPE_FRAMES,
@@ -59,6 +60,52 @@ class TestClipShapes:
     def test_null_rejected_in_synth_clip(self, subject):
         with pytest.raises(NullNotSupportedHere):
             synth_clip(GestureClass.NULL, subject, seed=0)
+
+
+class TestFloat32Storage:
+    def test_clip_arrays_are_read_only_float32(self, subject):
+        for clip in (synth_clip(GestureClass.SWIPE, subject, seed=2), synth_null(subject, 3)):
+            for a in (clip.joint_positions, clip.joint_orientations):
+                assert a.dtype == np.float32 and not a.flags.writeable
+            assert clip.timestamps.dtype == np.float64 and not clip.timestamps.flags.writeable
+            assert clip.substates.dtype == np.uint8 and not clip.substates.flags.writeable
+
+    def test_clip_owns_one_copy(self, subject):
+        clip = synth_clip(GestureClass.FIST, subject, seed=1)
+        pos = np.array(clip.joint_positions)
+        copy = LabeledClip(clip.gesture, clip.subject_id, clip.timestamps, pos,
+                           clip.joint_orientations, clip.substates, clip.duration)
+        assert not np.shares_memory(copy.joint_positions, pos)
+        assert not np.shares_memory(copy.joint_orientations, clip.joint_orientations)
+        pos[0, 0, 0] += 1.0
+        assert clips_equal(copy, clip)
+
+    def test_features_equal_the_float64_upcast(self, subject):
+        clip = synth_clip(GestureClass.SWIPE, subject, seed=4)
+        pos64 = clip.joint_positions.astype(np.float64)
+        ori64 = clip.joint_orientations.astype(np.float64)
+        feats = features_from_arrays(clip.joint_positions, clip.joint_orientations)
+        assert feats.dtype == np.float64
+        np.testing.assert_array_equal(feats, features_from_arrays(pos64, ori64))
+
+    def test_labels_equal_the_float64_upcast(self):
+        # thumbs placed on the bin edges u = 1/4, 1/2, 3/4, then stored as float32
+        rng = np.random.default_rng(0)
+        pos = rng.normal(0.0, 0.05, (1000, 11, 3)) + np.array([0.1, 1.2, 0.35])
+        seg = pos[:, INDEX_BELOW] - pos[:, INDEX_TIP]
+        pos[:, THUMB_TIP] = pos[:, INDEX_TIP] + rng.choice([0.25, 0.5, 0.75], len(pos))[:, None] * seg
+        pos32 = pos.astype(np.float32)
+        labels = label_substates(GestureClass.SWIPE, pos32)
+        np.testing.assert_array_equal(labels, label_substates(GestureClass.SWIPE, pos32.astype(np.float64)))
+        # the projection in float32 arithmetic would put some of them in another bin
+        seg32, rel32 = (pos32[:, j] - pos32[:, INDEX_TIP] for j in (INDEX_BELOW, THUMB_TIP))
+        u32 = np.clip(np.einsum("nd,nd->n", rel32, seg32) / np.einsum("nd,nd->n", seg32, seg32), 0, 1)
+        assert np.any(np.minimum(3, (u32 * 4).astype(np.int64)) != labels)
+
+    def test_stored_labels_are_those_of_the_stored_positions(self):
+        for sub in subjects_for(3, 4):
+            clip = synth_clip(GestureClass.SWIPE, sub, seed=sub.subject_id)
+            np.testing.assert_array_equal(clip.substates, label_substates(clip.gesture, clip.joint_positions))
 
 
 class TestPoseGeometry:

@@ -83,6 +83,33 @@ class TestCrops:
                 np.testing.assert_array_equal(ys, y_state[idx])
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_rows_equal_featurize_clip(self, small_dataset, dtype):
+        # chunks of FEATURIZE_CLIPS clips give every frame the bits of a per-clip call
+        clips, _, _ = split_fold(small_dataset, 1)
+        pool = training.crop_pool(clips, dtype)
+        assert pool.features.dtype == dtype and len(clips) > training.FEATURIZE_CLIPS
+        rows = np.concatenate([training.featurize_clip(c).features for c in clips])
+        np.testing.assert_array_equal(pool.features, rows.astype(dtype))
+        np.testing.assert_array_equal(pool.substates, np.concatenate([c.substates for c in clips]))
+        centres = pool.features[training.center_rows(pool)[:, None] + np.arange(T_WINDOW)]
+        np.testing.assert_array_equal(
+            centres, np.stack([training.center_window(training.featurize_clip(c)) for c in clips]).astype(dtype)
+        )
+
+    def test_validation_windows_equal_featurize_clip(self, small_dataset):
+        _, val_clips, _ = split_fold(small_dataset, 0)
+        fcs = [training.featurize_clip(c) for c in val_clips]
+        val = training.validation_windows(val_clips)
+        assert val.x.dtype == np.float64
+        np.testing.assert_array_equal(val.x, np.stack([training.center_window(fc) for fc in fcs]))
+        np.testing.assert_array_equal(val.y_class, [fc.class_index for fc in fcs])
+        starts = [(len(fc.substates) - T_WINDOW) // 2 for fc in fcs]
+        np.testing.assert_array_equal(
+            val.y_state, np.stack([fc.substates[s : s + T_WINDOW] for fc, s in zip(fcs, starts)])
+        )
+
+
 class TestTraining:
     def test_loss_decreases(self, tiny_trained):
         _, log = tiny_trained

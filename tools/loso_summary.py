@@ -15,9 +15,14 @@ for every held-out subject F = 0..9. It reads each fold's ``report.mgr``
 with ``session_io.read_report`` and its calibrated tau from the fold's
 checkpoint, then prints one row per fold (lowest per-class accuracy, macro
 accuracy, tau, whether tau sits on ``calibration.TAU_LO`` or ``TAU_HI``,
-and the train command's wall time from ``timing.json``), the min and mean
-over folds of each class's accuracy, and how many folds hit a tau bound.
-A fold takes about half a minute on a 2-core host.
+the train command's wall time from ``timing.json`` and its peak resident
+set), the min and mean over folds of each class's accuracy, and how many
+folds hit a tau bound. A fold takes about half a minute on a 2-core host.
+
+Each command runs in a child process that the tool reaps with
+``os.wait4``, so the peak resident set is that one child's ``ru_maxrss``.
+Linux carries the tool's own resident set (about 40 MB) into a child as it
+starts, so no figure reads below that.
 """
 
 from __future__ import annotations
@@ -39,16 +44,24 @@ MASTER_SEED = 5
 FOLDS = range(10)
 
 
-def _cli(src: Path, *argv: str) -> None:
+def _cli(src: Path, *argv: str) -> float:
+    """Run one CLI command of ``src`` in a child process; returns the
+    child's peak resident set in MB."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    subprocess.run([sys.executable, "-m", "microgext.cli", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    with subprocess.Popen([sys.executable, "-m", "microgext.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return usage.ru_maxrss / 1024.0  # KiB on Linux
 
 
 def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> list[dict]:
     """Synthesize once, then train and evaluate each fold through the CLI
     of ``src``; one dict per fold with its per-class accuracy, macro
-    accuracy, tau and train seconds. Needs ``microgext`` of ``src`` imported."""
+    accuracy, tau, train seconds and train peak resident set. Needs
+    ``microgext`` of ``src`` imported."""
     from microgext import session_io
 
     _cli(src, "synth", *(f"--{k}={v}" for k, v in synth_args.items()), "--out", str(work))
@@ -57,8 +70,8 @@ def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> l
     rows = []
     for fold in folds:
         out = work / f"fold-{fold}"
-        _cli(src, "train", "--dataset", dataset, "--fold-subject", str(fold), "--seed", str(MASTER_SEED),
-             "--config", str(work / "config.json"), "--out", str(out))
+        train_mb = _cli(src, "train", "--dataset", dataset, "--fold-subject", str(fold),
+                        "--seed", str(MASTER_SEED), "--config", str(work / "config.json"), "--out", str(out))
         train_seconds = json.loads((out / "timing.json").read_text())["train_seconds"]  # eval rewrites it
         _cli(src, "eval", "--checkpoint", str(out / "checkpoint.mgc"), "--dataset", dataset,
              "--fold-subject", str(fold), "--out", str(out))
@@ -70,6 +83,7 @@ def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> l
             "macro_accuracy": report["macro_accuracy"],
             "tau": session_io.load_checkpoint(out / "checkpoint.mgc").tau,
             "train_seconds": train_seconds,
+            "train_peak_rss_mb": train_mb,
         })
     return rows
 
@@ -89,13 +103,14 @@ def render(rows: list[dict], lo: float, hi: float, tol: float) -> str:
     count of folds whose tau hit a bound."""
     # a class with no test clip reads None in a report, nan here
     acc = np.array([r["per_class_accuracy"] for r in rows], dtype=np.float64)
-    lines = [f"{'fold':>4s} {'min class acc':>13s} {'macro acc':>9s} {'tau':>9s} {'on bound':>8s} {'train s':>7s}"]
+    lines = [f"{'fold':>4s} {'min class acc':>13s} {'macro acc':>9s} {'tau':>9s} {'on bound':>8s} {'train s':>7s} "
+             f"{'train MB':>8s}"]
     hits = 0
     for r, fold_acc in zip(rows, acc):
         flag = tau_bound(r["tau"], lo, hi, tol)
         hits += bool(flag)
         lines.append(f"{r['fold']:>4d} {np.nanmin(fold_acc):>13.4f} {r['macro_accuracy']:>9.4f} "
-                     f"{r['tau']:>9.6f} {flag:>8s} {r['train_seconds']:>7.1f}")
+                     f"{r['tau']:>9.6f} {flag:>8s} {r['train_seconds']:>7.1f} {r['train_peak_rss_mb']:>8.1f}")
     lines.append("")
     lines.append(f"{'class':>8s} {'min over folds':>14s} {'mean over folds':>15s}")
     for name, column in zip(rows[0]["class_names"], acc.T):
