@@ -7,6 +7,7 @@ from microgext import calibration, evaluation, network, session_io, training
 from microgext.evaluation import _confusion
 from microgext.session_io import read_command_log, write_command_log
 from microgext.editor import CommandKind, Document, EditCommand, Granularity, apply
+from microgext.network import N_CLASSES, N_STATES
 from microgext.skeleton import T_WINDOW
 from microgext.training import split_fold
 
@@ -23,12 +24,13 @@ def evaluate_reference(params, clips):
             xs.append(fc.features[start : start + T_WINDOW])
             ys.append(fc.substates[start : start + T_WINDOW])
     xs = np.stack(xs)
-    b = evaluation.EVAL_BATCH
-    logits = np.concatenate([network.forward_batch(params, x[i : i + b])["class_logits"] for i in range(0, len(x), b)])
-    states = np.concatenate(
-        [network.forward_batch(params, xs[i : i + b])["state_logits"].argmax(-1) for i in range(0, len(xs), b)]
-    )
-    return logits, states, np.stack(ys)
+
+    def run(windows, head):
+        b = evaluation.EVAL_BATCH
+        return np.concatenate([network.forward_batch(params, windows[i : i + b])[head]
+                               for i in range(0, len(windows), b)])
+
+    return run(x, "class_logits"), run(xs, "state_logits").argmax(-1), np.stack(ys)
 
 
 class TestBufferedWindows:
@@ -47,9 +49,11 @@ class TestBufferedWindows:
         monkeypatch.setattr(calibration, "ece_for_logits", recording_ece)
         report = evaluation.evaluate(params, test_clips)
         np.testing.assert_array_equal(seen[0], logits)
-        y_class = [training.class_index(c.gesture) for c in test_clips]
-        np.testing.assert_array_equal(report.class_confusion, _confusion(np.array(y_class), logits.argmax(-1), 8))
-        np.testing.assert_array_equal(report.state_confusion, _confusion(y_state.reshape(-1), states.reshape(-1), 5))
+        y_class = np.array([training.class_index(c.gesture) for c in test_clips])
+        class_confusion = _confusion(y_class, logits.argmax(-1), N_CLASSES)
+        np.testing.assert_array_equal(report.class_confusion, class_confusion)
+        state_confusion = _confusion(y_state.ravel(), states.ravel(), N_STATES)
+        np.testing.assert_array_equal(report.state_confusion, state_confusion)
         assert report.ece_before == ece(logits, y_class, 1.0)
         assert report.ece_after == ece(logits, y_class, params.tau)
 

@@ -72,7 +72,8 @@ def test_each_child_reports_its_own_peak(tmp_path):
         "except subprocess.CalledProcessError as exc:\n"
         "    print(exc.returncode)\n"
     )
-    out = subprocess.run([sys.executable, "-c", driver, str(tmp_path)], capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", driver, str(tmp_path)], capture_output=True, text=True,
+                         check=True)
     big, small, big_again = map(float, out.stdout.split()[:3])
     assert big > small + 48 and big_again > small + 48
     assert out.stdout.split()[3] == "3"

@@ -93,9 +93,8 @@ class TestCrops:
         np.testing.assert_array_equal(pool.features, rows.astype(dtype))
         np.testing.assert_array_equal(pool.substates, np.concatenate([c.substates for c in clips]))
         centres = pool.features[training.center_rows(pool)[:, None] + np.arange(T_WINDOW)]
-        np.testing.assert_array_equal(
-            centres, np.stack([training.center_window(training.featurize_clip(c)) for c in clips]).astype(dtype)
-        )
+        reference = [training.center_window(training.featurize_clip(c)) for c in clips]
+        np.testing.assert_array_equal(centres, np.stack(reference).astype(dtype))
 
     def test_validation_windows_equal_featurize_clip(self, small_dataset):
         _, val_clips, _ = split_fold(small_dataset, 0)
