@@ -63,12 +63,17 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
 def calibrate(params: ModelParams, windows: np.ndarray, labels: np.ndarray) -> ModelParams:
     """Fit tau on validation windows and return params with tau replaced.
 
-    tau is snapped to the float32 grid so checkpoints round-trip exactly.
+    The windows run through the network EVAL_BATCH at a time, which bounds
+    the forward pass's activations. tau is snapped to the float32 grid so
+    checkpoints round-trip exactly.
     """
     windows = np.asarray(windows)
     if windows.ndim != 4 or len(windows) == 0:
         raise EmptyValidation("calibration needs a nonempty validation set")
-    logits = network.forward_batch(params, windows)["class_logits"]
+    logits = np.concatenate([
+        network.forward_batch(params, windows[i : i + network.EVAL_BATCH])["class_logits"]
+        for i in range(0, len(windows), network.EVAL_BATCH)
+    ])
     tau = fit_temperature(logits, labels)
     return params.with_tau(float(np.float32(tau)))
 

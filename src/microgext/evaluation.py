@@ -12,11 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calibration, network, training
-from .network import N_CLASSES, N_STATES, ModelParams
+from .network import EVAL_BATCH, N_CLASSES, N_STATES, ModelParams
 from .skeleton import T_WINDOW
 from .synth import CLASS_NAMES, LabeledClip
-
-EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,10 @@ N_FEATURES = _INPUT_SCALE.size  # wrist-relative position (3) and orientation (4
 INPUT_SHAPE = (T_WINDOW, NUM_JOINTS, N_FEATURES)
 N_CLASSES = len(CLASS_NAMES)
 N_STATES = len(SubState)
+# windows per inference-only forward pass (evaluation and calibration): it
+# bounds their float64 activations, one (B, T, J, H) tensor is 7.2 MB at
+# hidden 64 and 28.8 MB at hidden 256
+EVAL_BATCH = 64
 
 
 class ShapeMismatch(ValueError):

@@ -1,8 +1,14 @@
 """Unit quaternion helpers used by the skeleton and synthesis layers.
 
-Quaternions are stored as (w, x, y, z) numpy arrays. All functions accept
-stacked arrays whose last axis has length 4 and broadcast over leading axes,
-so per-frame/per-joint batches go through single vectorized calls.
+Quaternions are stored as (w, x, y, z) numpy arrays. The array functions
+accept stacked arrays whose last axis has length 4 (3 for vectors) and
+broadcast over leading axes, so per-frame/per-joint batches go through
+single vectorized calls. The Hamilton product and the rotation are written
+once, in component form: ``multiply_components`` and ``rotate_components``
+take a quaternion as its four component arrays (or a (4, ...) array, whose
+rows are the components), which is how synthesis calls them on contiguous
+per-component planes; ``multiply`` and ``rotate`` unpack their last axis
+into that form and stack the result back.
 """
 
 from __future__ import annotations
@@ -10,21 +16,28 @@ from __future__ import annotations
 import numpy as np
 
 
+def multiply_components(a, b) -> tuple:
+    """Hamilton product a * b of quaternions given as (w, x, y, z) component
+    arrays (or a (4, ...) array), broadcasting; returns the four components."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _components(a) -> list[np.ndarray]:
+    """The last axis of ``a`` as a list of float64 component arrays."""
+    a = np.asarray(a, dtype=np.float64)
+    return [a[..., i] for i in range(a.shape[-1])]
+
+
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return np.stack(multiply_components(_components(a), _components(b)), axis=-1)
 
 
 def conjugate(q: np.ndarray) -> np.ndarray:
@@ -32,8 +45,9 @@ def conjugate(q: np.ndarray) -> np.ndarray:
     return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector(s) v by unit quaternion(s) q.
+def rotate_components(q, v) -> tuple:
+    """Rotate vector(s) v by unit quaternion(s) q, both given as component
+    arrays: (w, x, y, z) and (x, y, z), or (4, ...) and (3, ...) arrays.
 
     Uses the expanded sandwich product v + 2 (w (u x v) + u x (u x v)) with
     u = (x, y, z), which avoids building intermediate quaternions for the
@@ -41,21 +55,21 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     operation order, so results equal the ``np.cross`` form bit for bit
     without its per-call argument handling.
     """
-    q = np.asarray(q, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    w, x, y, z = q
+    v0, v1, v2 = v
     c0 = y * v2 - z * v1  # c = u x v
     c1 = z * v0 - x * v2
     c2 = x * v1 - y * v0
-    return np.stack(
-        [
-            v0 + 2.0 * (w * c0 + (y * c2 - z * c1)),
-            v1 + 2.0 * (w * c1 + (z * c0 - x * c2)),
-            v2 + 2.0 * (w * c2 + (x * c1 - y * c0)),
-        ],
-        axis=-1,
+    return (
+        v0 + 2.0 * (w * c0 + (y * c2 - z * c1)),
+        v1 + 2.0 * (w * c1 + (z * c0 - x * c2)),
+        v2 + 2.0 * (w * c2 + (x * c1 - y * c0)),
     )
+
+
+def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rotate vector(s) v (..., 3) by unit quaternion(s) q (..., 4)."""
+    return np.stack(rotate_components(_components(q), _components(v)), axis=-1)
 
 
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

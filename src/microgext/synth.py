@@ -29,13 +29,25 @@ finger. Swipe frames get automatic sub-state labels 0-3 by quantizing the
 thumb's projected position into equal quarters; every other gesture carries
 the single sub-state 4.
 
-Clips are array-backed for speed: a single vectorized pass per clip.
+Synthesis runs in two phases. First each clip makes only its seeded random
+draws from its own generator, in a fixed order: a Null clip's variant, the
+varied rest and gesture poses, the swipe timing, the wrist placement and
+drift, a Null clip's pinch or drift extras, then the jitter arrays. That
+order is part of the data: moving one draw changes every clip. Then one pass per chunk of SYNTH_CLIPS clips does all the
+math over the chunk's concatenated frames: pose blends, the swipe sweep,
+wrist placement and drift, jitter and wobble, local joints and
+orientations, the world transform, normalization and the float32 cast. The
+pass works on contiguous per-component planes, (3, ..., n) and
+(4, ..., n) with frames last. No element's arithmetic reads another
+frame's, so a clip's bytes do not depend on its chunk, and a single clip
+(``synth_clip``, ``synth_null``) or a scenario timeline
+(``assemble_clip_arrays``) takes the same path as a chunk of one.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -56,6 +68,9 @@ STATIC_FRAMES = int(STATIC_SECONDS * FRAME_RATE)  # 144
 SWIPE_FRAMES = int(SWIPE_SECONDS * FRAME_RATE)  # 360
 
 PINCH_CONTACT_M = 0.015  # thumb-index distance counted as touching
+# clips per synthesis pass: 16 swipes are 5,760 frames, whose float64 joint
+# and orientation planes take about 3.5 MB together
+SYNTH_CLIPS = 16
 
 
 class GestureClass(Enum):
@@ -249,45 +264,92 @@ class PoseTrack:
         )
 
 
-def local_joints(track: PoseTrack, length_scale: float = 1.0) -> np.ndarray:
-    """Wrist-local joint positions for every frame of a track, (N, 11, 3)."""
-    n = len(track.spread)
-    dirs = np.broadcast_to(_FINGER_DIRS, (n, 5, 3)).copy()
-    dirs[:, :, 0] *= track.spread[:, None]
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    lengths = _FINGER_LEN * length_scale
-    curls = track.curls[:, :, None]
+def _world_frames(pose, scale, wrist_pos, wrist_quat, jitter):
+    """World-space joints of n frames given as component planes: float64
+    positions (3, 11, n) and unit orientations (4, 11, n).
 
-    extended = _PALM_CENTER + dirs * lengths[None, :, None]
-    folded = _PALM_CENTER + dirs * (lengths * _FOLD_SHRINK)[None, :, None] + _FOLD_DROP
+    pose is (8, n): five curl rows, then spread, thumb_u and thumb_w. scale
+    is the finger length scale, per frame (n,) or one float. wrist_pos is
+    (3, n), wrist_quat (4, n). jitter is None or (rows, noise, axes, angles):
+    the frames it applies to (a slice or an index array) and their
+    concatenated draws from ``_draw_jitter``. Each element's arithmetic
+    reads only its own frame, in a fixed order, so a frame's result does not
+    depend on which frames share the call.
+    """
+    curls, spread, thumb_u, thumb_w = pose[:5], pose[5], pose[6], pose[7]
+    n = spread.shape[0]
+
+    # finger tips and below-tip joints, (3, 5, n): fingers fan out by spread
+    # and fold toward the palm by curl
+    dirs = np.empty((3, 5, n))
+    for d in range(3):
+        dirs[d] = _FINGER_DIRS[:, d, None]
+    dirs[0] *= spread
+    dirs /= np.sqrt(dirs[0] * dirs[0] + dirs[1] * dirs[1] + dirs[2] * dirs[2])
+    lengths = _FINGER_LEN[:, None] * scale
+    palm = _PALM_CENTER[:, None, None]
+    extended = palm + dirs * lengths
+    folded = palm + dirs * (lengths * _FOLD_SHRINK) + _FOLD_DROP[:, None, None]
     tips = extended * (1.0 - curls) + folded * curls
-    below = _PALM_CENTER + _BELOW_FRAC * (tips - _PALM_CENTER)
-    below[:, :, 1] += _BELOW_RISE * track.curls
+    below = palm + _BELOW_FRAC * (tips - palm)
+    below[1] += _BELOW_RISE * curls
 
     # thumb pin onto the IndexTip -> IndexBelowTip segment
     seg = below[:, 1] - tips[:, 1]
-    target = tips[:, 1] + np.clip(track.thumb_u, 0.0, 1.0)[:, None] * seg
-    w = track.thumb_w[:, None]
-    tips[:, 0] = (1.0 - w) * tips[:, 0] + w * target
-    below[:, 0] = _PALM_CENTER + _BELOW_FRAC * (tips[:, 0] - _PALM_CENTER)
+    target = tips[:, 1] + np.clip(thumb_u, 0.0, 1.0) * seg
+    tips[:, 0] = (1.0 - thumb_w) * tips[:, 0] + thumb_w * target
+    below[:, 0] = palm[:, 0] + _BELOW_FRAC * (tips[:, 0] - palm[:, 0])
 
-    joints = np.zeros((n, NUM_JOINTS, 3))
+    joints = np.zeros((3, NUM_JOINTS, n))
     joints[:, 1::2] = tips
     joints[:, 2::2] = below
-    return joints
 
-
-def local_orientations(track: PoseTrack) -> np.ndarray:
-    """Wrist-local joint orientations, (N, 11, 4): fingers flex about their
-    lateral axis proportionally to curl, the wrist row is identity."""
-    n = len(track.spread)
-    out = np.zeros((n, NUM_JOINTS, 4))
-    out[:, :, 0] = 1.0
+    # fingers flex about their lateral axis in proportion to curl; the
+    # wrist row stays identity
+    ori = np.zeros((4, NUM_JOINTS, n))
+    ori[0] = 1.0
     for pair, gain in ((1, 1.6), (2, 0.9)):
-        half = 0.5 * gain * track.curls  # (N, 5)
-        out[:, pair::2, 0] = np.cos(half)
-        out[:, pair::2, 1:] = np.sin(half)[:, :, None] * _FLEX_AXES[None, :, :]
-    return out
+        half = 0.5 * gain * curls
+        ori[0, pair::2] = np.cos(half)
+        ori[1:, pair::2] = np.sin(half) * _FLEX_AXES.T[:, :, None]
+
+    wq = np.array(wrist_quat, dtype=np.float64)
+    if jitter is not None:
+        rows, noise, axes, angles = jitter
+        joints[:, 1:, rows] += noise.transpose(2, 1, 0)
+        a0, a1, a2 = axes.T
+        norm = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+        half = 0.5 * angles
+        s = np.sin(half)
+        wobble = (np.cos(half), s * (a0 / norm), s * (a1 / norm), s * (a2 / norm))
+        wq[:, rows] = quat.multiply_components(wq[:, rows], wobble)
+
+    rotated = quat.rotate_components(wq, joints)
+    world_pos = np.stack([wrist_pos[d] + rotated[d] for d in range(3)])
+    world_ori = np.stack(quat.multiply_components(wq, ori))
+    o0, o1, o2, o3 = world_ori
+    world_ori /= np.sqrt(o0 * o0 + o1 * o1 + o2 * o2 + o3 * o3)
+    return world_pos, world_ori
+
+
+def _float32_rows(planes: np.ndarray) -> np.ndarray:
+    """(c, 11, n) float64 component planes as a C-ordered (n, 11, c) float32 array."""
+    return planes.T.astype(np.float32, order="C")
+
+
+def _draw_jitter(rng: np.random.Generator | None, n: int, std: float):
+    """One timeline's jitter draws, in order: joint position noise (n, 10, 3),
+    wobble axes (n, 3) and wobble angles (n,); None without an rng or std."""
+    if rng is None or std <= 0:
+        return None
+    noise = rng.normal(0.0, std, (n, NUM_JOINTS - 1, 3))
+    axes = rng.normal(size=(n, 3))
+    return noise, axes, rng.normal(0.0, 0.006, n)
+
+
+def _quantized(timestamps: np.ndarray) -> np.ndarray:
+    """Timestamps rounded to float32 values, held as float64."""
+    return np.asarray(timestamps, np.float64).astype(np.float32).astype(np.float64)
 
 
 def assemble_clip_arrays(
@@ -298,34 +360,36 @@ def assemble_clip_arrays(
     subject: SubjectParams,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """World-space (timestamps, positions, orientations), float32-quantized:
-    the timestamps as float64 values, the joint arrays as float32 arrays.
+    """World-space (timestamps, positions, orientations) of one timeline,
+    float32-quantized: the timestamps as float64 values, the joint arrays as
+    float32 arrays.
 
-    wrist_pos is (N, 3) and wrist_quat (N, 4); jitter is applied when an rng
-    is supplied (joint position noise plus a small wrist wobble).
+    wrist_pos is (N, 3) and wrist_quat (N, 4); jitter is drawn and applied
+    when an rng is supplied (joint position noise plus a small wrist wobble).
     """
     n = len(timestamps)
-    pos = local_joints(track, subject.finger_length_scale)
-    ori = local_orientations(track)
-    wq = np.asarray(wrist_quat, np.float64)
-    if rng is not None and subject.pose_jitter_std > 0:
-        pos[:, 1:] += rng.normal(0.0, subject.pose_jitter_std, (n, NUM_JOINTS - 1, 3))
-        axes = rng.normal(size=(n, 3))
-        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        half = 0.5 * rng.normal(0.0, 0.006, n)
-        wobble = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axes], axis=1)
-        wq = quat.multiply(wq, wobble)
-
-    world_pos = np.asarray(wrist_pos)[:, None, :] + quat.rotate(wq[:, None, :], pos)
-    world_ori = quat.multiply(wq[:, None, :], ori)
-    world_ori /= np.linalg.norm(world_ori, axis=2, keepdims=True)
-    ts32 = np.asarray(timestamps, np.float64).astype(np.float32).astype(np.float64)
-    return ts32, world_pos.astype(np.float32), world_ori.astype(np.float32)
+    jitter = _draw_jitter(rng, n, subject.pose_jitter_std)
+    pose = np.concatenate([track.curls.T, [track.spread, track.thumb_u, track.thumb_w]])
+    pos, ori = _world_frames(
+        pose,
+        subject.finger_length_scale,
+        np.asarray(wrist_pos, np.float64).T,
+        np.asarray(wrist_quat, np.float64).T,
+        None if jitter is None else (slice(None), *jitter),
+    )
+    return _quantized(timestamps), _float32_rows(pos), _float32_rows(ori)
 
 
 # ---------------------------------------------------------------------------
-# Clip generators
+# Clip generators: per-clip draws, then one pass per chunk of clips
 # ---------------------------------------------------------------------------
+
+_WRIST_BASE = np.array([0.10, 1.20, 0.35])
+_NULL_VARIANTS = ["rest", "drift", "pinch"]
+_NULL_MIX = [0.5, 0.3, 0.2]
+_N_LEAD = 14  # static lead-in frames, shorter than the T = 20 window, so no crop is pure rest
+_PINCH_BLEND = 3  # frames of each pinch ramp
+
 
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
@@ -336,83 +400,207 @@ def _clip_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _global_placement(rng: np.random.Generator, t: np.ndarray):
-    """Per-frame wrist world pose: random base placement plus slow drift."""
-    base_pos = np.array([0.10, 1.20, 0.35]) + rng.uniform(-0.05, 0.05, 3)
+def _vary_pose(pose: PoseParams, rng: np.random.Generator, curl_std: float = 0.03) -> np.ndarray:
+    """The pose with jittered curls and spread, as one row: five curls,
+    spread, thumb_u, thumb_w."""
+    curls = np.clip(np.asarray(pose.curls) + rng.normal(0.0, curl_std, 5), 0.0, 1.0)
+    return np.array([*curls, pose.spread * (1.0 + 0.05 * rng.normal()), pose.thumb_u, pose.thumb_w])
+
+
+def _draw_placement(rng: np.random.Generator) -> np.ndarray:
+    """The wrist's random base placement and slow drift, as one row:
+    offset (3), quaternion (4) and its norm, drift amplitude, phases (3),
+    axis (3) and its norm, rotation amplitude."""
+    offset = rng.uniform(-0.05, 0.05, 3)
     q = rng.normal(size=4)
-    base_quat = q / np.linalg.norm(q)
-    drift_amp = rng.uniform(0.002, 0.006)
-    drift_phase = rng.uniform(0.0, 2.0 * np.pi, 3)
-    drift_axis = rng.normal(size=3)
-    drift_axis /= np.linalg.norm(drift_axis)
-    drift_rot = rng.uniform(0.01, 0.05)
-
-    pos = base_pos + drift_amp * np.sin(2.0 * np.pi * 0.25 * t[:, None] + drift_phase)
-    half = 0.5 * drift_rot * np.sin(0.5 * t)
-    rot = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * drift_axis], axis=1)
-    return pos, quat.multiply(base_quat, rot)
+    amp = rng.uniform(0.002, 0.006)
+    phase = rng.uniform(0.0, 2.0 * np.pi, 3)
+    axis = rng.normal(size=3)
+    rot = rng.uniform(0.01, 0.05)
+    return np.concatenate([offset, q, [np.linalg.norm(q), amp], phase, axis, [np.linalg.norm(axis), rot]])
 
 
-def _vary_pose(pose: PoseParams, rng: np.random.Generator, curl_std: float = 0.03) -> PoseParams:
-    curls = tuple(float(np.clip(c + rng.normal(0.0, curl_std), 0.0, 1.0)) for c in pose.curls)
-    return replace(pose, curls=curls, spread=pose.spread * float(1.0 + 0.05 * rng.normal()))
+@dataclass(eq=False, slots=True)
+class _Draws:
+    """One clip's seeded random draws, made in the generator's fixed order.
+
+    The clip's frames blend pose_a into pose_b by a per-frame alpha: a
+    static gesture's lead-in ramp (n_trans frames), a Null pinch's brief
+    ramp up and down (pinch = start frame, hold frames), or zero. A swipe
+    replaces thumb_u by its sweep (sweep = start and peak times), and a Null
+    drift adds a second wrist drift (drift = amplitude, phases (3), axis (3)
+    and its norm, rotation amplitude).
+    """
+
+    gesture: GestureClass
+    subject: SubjectParams
+    n: int
+    duration: float
+    pose_a: np.ndarray
+    pose_b: np.ndarray
+    place: np.ndarray
+    jitter: tuple | None = None
+    n_trans: int | None = None
+    sweep: tuple[float, float] | None = None
+    pinch: tuple[int, int] | None = None
+    drift: np.ndarray | None = None
+
+
+def _draw(gesture: GestureClass, subject: SubjectParams, seed: int) -> _Draws:
+    """Every random draw of one clip, deterministic in (gesture, subject, seed)."""
+    rng = _clip_rng(seed)
+    std = subject.pose_jitter_std
+    if gesture is GestureClass.NULL:
+        return _draw_null(subject, rng)
+    rest = _vary_pose(POSES["rest"], rng)
+    if gesture is GestureClass.SWIPE:
+        n = SWIPE_FRAMES
+        # the index finger is the rail the thumb slides on; a real rail is a
+        # fixed digit, so rep-to-rep curl variation stays small here
+        base = _vary_pose(POSES["swipe"], rng, curl_std=0.008)
+        t_start = 0.5 + rng.normal(0.0, 0.05)
+        t_peak = 2.75 + rng.normal(0.0, 0.08)
+        place = _draw_placement(rng)
+        return _Draws(gesture, subject, n, SWIPE_SECONDS, base, base, place, _draw_jitter(rng, n, std),
+                      sweep=(t_start, t_peak))
+    n = STATIC_FRAMES
+    target = _vary_pose(POSES[STATIC_POSE_BY_GESTURE[gesture]], rng)
+    place = _draw_placement(rng)
+    return _Draws(gesture, subject, n, STATIC_SECONDS, rest, target, place, _draw_jitter(rng, n, std),
+                  n_trans=int(round(18.0 / subject.tempo_scale)))
+
+
+def _draw_null(subject: SubjectParams, rng: np.random.Generator) -> _Draws:
+    n = STATIC_FRAMES
+    variant = rng.choice(_NULL_VARIANTS, p=_NULL_MIX)
+    rest = _vary_pose(POSES["rest"], rng)
+    place = _draw_placement(rng)
+    out = _Draws(GestureClass.NULL, subject, n, STATIC_SECONDS, rest, rest, place)
+    if variant == "pinch":
+        out.pose_b = _vary_pose(POSES["pinch"], rng)
+        start = int(rng.integers(20, n - 30))
+        out.pinch = (start, int(rng.integers(2, 5)))
+    elif variant == "drift":
+        amp = rng.uniform(0.01, 0.02)
+        phase = rng.uniform(0, 2 * np.pi, 3)
+        axis = rng.normal(size=3)
+        out.drift = np.concatenate([[amp], phase, axis, [np.linalg.norm(axis), rng.uniform(0.08, 0.17)]])
+    out.jitter = _draw_jitter(rng, n, subject.pose_jitter_std)
+    return out
+
+
+def _frames_with(draws: list[_Draws], clip: np.ndarray, field: str):
+    """The frames of the clips whose ``field`` is set: their rows (every row
+    as a slice when all clips have it, else an index array) and each row's
+    value of the field; None when no clip has it."""
+    values = [getattr(d, field) for d in draws]
+    has = np.array([v is not None for v in values])
+    if not has.any():
+        return None
+    table = np.array([v for v in values if v is not None])
+    if has.all():
+        return slice(None), table[clip]
+    rows = np.flatnonzero(has[clip])
+    return rows, table[(np.cumsum(has) - 1)[clip[rows]]]
+
+
+def _build(draws: list[_Draws]) -> list[LabeledClip]:
+    """The clips of one chunk, from one pass over its concatenated frames."""
+    counts = np.array([d.n for d in draws])
+    ends = np.cumsum(counts)
+    clip = np.repeat(np.arange(len(draws)), counts)  # each frame's clip
+    j = np.arange(ends[-1]) - (ends - counts)[clip]  # frame index within its clip
+    t = j / FRAME_RATE
+
+    # pose blends: alpha is 0 on constant clips, whose pose_b is pose_a
+    alpha = np.zeros(len(t))
+    if found := _frames_with(draws, clip, "n_trans"):
+        r, n_trans = found
+        alpha[r] = _smoothstep((j[r] - _N_LEAD) / n_trans)
+    if found := _frames_with(draws, clip, "pinch"):
+        r, (start, n_hold) = found[0], found[1].T
+        k, m = j[r] - start, _PINCH_BLEND
+        a = np.zeros(len(k))
+        rising = (k >= 0) & (k < m)
+        holding = (k >= m) & (k < m + n_hold)
+        falling = (k >= m + n_hold) & (k < 2 * m + n_hold)
+        a[rising] = _smoothstep((k[rising] + 1) / m)
+        a[holding] = 1.0
+        a[falling] = 1.0 - _smoothstep((k[falling] - m - n_hold[falling] + 1) / m)
+        alpha[r] = a
+    pose_a = np.array([d.pose_a for d in draws]).T[:, clip]
+    pose_b = np.array([d.pose_b for d in draws]).T[:, clip]
+    pose = (1.0 - alpha) * pose_a + alpha * pose_b
+
+    # swipe: the thumb sweeps 0% -> 100% -> 0% along the index segment
+    if found := _frames_with(draws, clip, "sweep"):
+        r, (t_start, t_peak) = found[0], found[1].T
+        tr, t_end = t[r], t[ends - 1][clip[r]]
+        pose[6, r] = np.where(
+            tr <= t_start,
+            0.0,
+            np.where(
+                tr <= t_peak,
+                (tr - t_start) / (t_peak - t_start),
+                np.maximum(0.0, 1.0 - (tr - t_peak) / (t_end - t_peak)),
+            ),
+        )
+
+    # wrist world pose: random base placement plus slow drift
+    place = np.array([d.place for d in draws])
+    base_pos = (_WRIST_BASE + place[:, 0:3]).T[:, clip]
+    base_quat = (place[:, 3:7] / place[:, 7:8]).T[:, clip]
+    amp, rot = place[:, 8][clip], place[:, 16][clip]
+    phase = place[:, 9:12].T[:, clip]
+    axis = (place[:, 12:15] / place[:, 15:16]).T[:, clip]
+    wrist_pos = base_pos + amp * np.sin(2.0 * np.pi * 0.25 * t + phase)
+    half = 0.5 * rot * np.sin(0.5 * t)
+    s = np.sin(half)
+    wrist_quat = np.array(quat.multiply_components(base_quat, (np.cos(half), s * axis[0], s * axis[1], s * axis[2])))
+
+    # Null drift: a larger second sway of the wrist
+    if found := _frames_with(draws, clip, "drift"):
+        r, drift = found[0], found[1].T
+        amp, phase, axis, rot = drift[0], drift[1:4], drift[4:7] / drift[7], drift[8]
+        tr = t[r]
+        wrist_pos[:, r] = wrist_pos[:, r] + amp * np.sin(2 * np.pi * 0.4 * tr + phase)
+        half = 0.5 * rot * np.sin(1.2 * tr)
+        s = np.sin(half)
+        wrist_quat[:, r] = quat.multiply_components(wrist_quat[:, r], (np.cos(half), s * axis[0], s * axis[1], s * axis[2]))
+
+    jitter = None
+    if any(d.jitter for d in draws):
+        has = np.array([d.jitter is not None for d in draws])
+        rows = slice(None) if has.all() else np.flatnonzero(has[clip])
+        jitter = (rows, *(np.concatenate(a) for a in zip(*(d.jitter for d in draws if d.jitter))))
+    scale = np.array([d.subject.finger_length_scale for d in draws])[clip]
+    # the float64 planes stay alive until every clip holds its copy, so the
+    # copies do not take the heap top that the next chunk's planes reuse
+    world_pos, world_ori = _world_frames(pose, scale, wrist_pos, wrist_quat, jitter)
+    positions, orientations = _float32_rows(world_pos), _float32_rows(world_ori)
+
+    ts = _quantized(t)
+    out = []
+    for d, end in zip(draws, ends):
+        rows = slice(end - d.n, end)
+        sub = label_substates(d.gesture, positions[rows])
+        out.append(LabeledClip(d.gesture, d.subject.subject_id, ts[rows], positions[rows], orientations[rows], sub,
+                               d.duration))
+    return out
 
 
 def synth_clip(gesture: GestureClass, subject: SubjectParams, seed: int) -> LabeledClip:
     """Generate one labeled clip for a command gesture.
 
     Deterministic in (gesture, subject, seed). Null has its own generator.
+    Static clips blend from a varied rest pose into the gesture's pose after
+    a short lead-in. A swipe sweeps the thumb 0% -> 100% -> 0% along the
+    index segment over 5 s; it sits at the IndexTip (u = 0) during the
+    lead-in, so lead-in frames label as sub-state 0 rather than noise.
     """
     if gesture is GestureClass.NULL:
         raise NullNotSupportedHere("use synth_null for the Null class")
-    rng = _clip_rng(seed)
-    rest = _vary_pose(POSES["rest"], rng)
-
-    if gesture is GestureClass.SWIPE:
-        return _synth_swipe(subject, rng, rest)
-
-    n = STATIC_FRAMES
-    t = np.arange(n) / FRAME_RATE
-    target = _vary_pose(POSES[STATIC_POSE_BY_GESTURE[gesture]], rng)
-    n_lead = 14  # shorter than the T = 20 window, so no crop is pure rest
-    n_trans = int(round(18.0 / subject.tempo_scale))
-    alphas = _smoothstep((np.arange(n) - n_lead) / n_trans)
-    track = PoseTrack.blend(rest, target, alphas)
-    wrist_pos, wrist_quat = _global_placement(rng, t)
-    ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    sub = label_substates(gesture, pos)
-    return LabeledClip(gesture, subject.subject_id, ts, pos, ori, sub, STATIC_SECONDS)
-
-
-def _synth_swipe(subject, rng, rest) -> LabeledClip:
-    """Thumb sweep 0% -> 100% -> 0% along the index segment over 5 s.
-
-    The thumb sits at the IndexTip (u = 0) during the lead-in, so lead-in
-    frames label as sub-state 0 rather than noise.
-    """
-    n = SWIPE_FRAMES
-    t = np.arange(n) / FRAME_RATE
-    # the index finger is the rail the thumb slides on; a real rail is a
-    # fixed digit, so rep-to-rep curl variation stays small here
-    base = _vary_pose(POSES["swipe"], rng, curl_std=0.008)
-    t_start = 0.5 + rng.normal(0.0, 0.05)
-    t_peak = 2.75 + rng.normal(0.0, 0.08)
-    t_end = t[-1]
-    u = np.where(
-        t <= t_start,
-        0.0,
-        np.where(
-            t <= t_peak,
-            (t - t_start) / (t_peak - t_start),
-            np.maximum(0.0, 1.0 - (t - t_peak) / (t_end - t_peak)),
-        ),
-    )
-    track = PoseTrack.constant(base, n)
-    track = PoseTrack(track.curls, track.spread, thumb_u=u, thumb_w=track.thumb_w)
-    wrist_pos, wrist_quat = _global_placement(rng, t)
-    ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    sub = label_substates(GestureClass.SWIPE, pos)
-    return LabeledClip(GestureClass.SWIPE, subject.subject_id, ts, pos, ori, sub, SWIPE_SECONDS)
+    return _build([_draw(gesture, subject, seed)])[0]
 
 
 def synth_null(subject: SubjectParams, seed: int) -> LabeledClip:
@@ -422,43 +610,7 @@ def synth_null(subject: SubjectParams, seed: int) -> LabeledClip:
     under 10 frames of contact, below the online recognizer's persistence
     window, which is exactly the false-positive traffic it must reject.
     """
-    rng = _clip_rng(seed)
-    variant = rng.choice(["rest", "drift", "pinch"], p=[0.5, 0.3, 0.2])
-    rest = _vary_pose(POSES["rest"], rng)
-    n = STATIC_FRAMES
-    t = np.arange(n) / FRAME_RATE
-    wrist_pos, wrist_quat = _global_placement(rng, t)
-
-    if variant == "pinch":
-        pinch = _vary_pose(POSES["pinch"], rng)
-        start = int(rng.integers(20, n - 30))
-        n_blend = 3
-        n_hold = int(rng.integers(2, 5))
-        j = np.arange(n) - start
-        alphas = np.zeros(n)
-        rising = (j >= 0) & (j < n_blend)
-        holding = (j >= n_blend) & (j < n_blend + n_hold)
-        falling = (j >= n_blend + n_hold) & (j < 2 * n_blend + n_hold)
-        alphas[rising] = _smoothstep((j[rising] + 1) / n_blend)
-        alphas[holding] = 1.0
-        alphas[falling] = 1.0 - _smoothstep((j[falling] - n_blend - n_hold + 1) / n_blend)
-        track = PoseTrack.blend(rest, pinch, alphas)
-    else:
-        track = PoseTrack.constant(rest, n)
-        if variant == "drift":
-            amp = rng.uniform(0.01, 0.02)
-            phase = rng.uniform(0, 2 * np.pi, 3)
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            rot_amp = rng.uniform(0.08, 0.17)
-            wrist_pos = wrist_pos + amp * np.sin(2 * np.pi * 0.4 * t[:, None] + phase)
-            half = 0.5 * rot_amp * np.sin(1.2 * t)
-            rot = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axis], axis=1)
-            wrist_quat = quat.multiply(wrist_quat, rot)
-
-    ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    sub = np.full(n, SubState.NOT_SWIPING, np.uint8)
-    return LabeledClip(GestureClass.NULL, subject.subject_id, ts, pos, ori, sub, STATIC_SECONDS)
+    return _build([_draw(GestureClass.NULL, subject, seed)])[0]
 
 
 def label_substates(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:
@@ -513,17 +665,20 @@ def make_dataset(
     """n_subjects x (7 gestures x reps + null_reps) clips, deterministically.
 
     Each clip's seed is derived by hashing (master seed, subject, gesture,
-    rep), so generation order cannot change content.
+    rep), so generation order cannot change content. Clips are drawn one by
+    one and built SYNTH_CLIPS at a time.
     """
     if n_subjects < 1 or reps_per_gesture < 1 or null_reps < 1:
         raise ValueError("all counts must be >= 1")
-    subjects = subjects_for(seed, n_subjects)
-
-    clips = []
-    for subject in subjects:
+    specs = []
+    for subject in subjects_for(seed, n_subjects):
         for gesture in COMMAND_GESTURES:
             for rep in range(reps_per_gesture):
-                clips.append(synth_clip(gesture, subject, stable_hash(seed, subject.subject_id, gesture.value, rep)))
+                specs.append((gesture, subject, stable_hash(seed, subject.subject_id, gesture.value, rep)))
         for rep in range(null_reps):
-            clips.append(synth_null(subject, stable_hash(seed, subject.subject_id, "Null", rep)))
+            specs.append((GestureClass.NULL, subject, stable_hash(seed, subject.subject_id, "Null", rep)))
+
+    clips = []
+    for i in range(0, len(specs), SYNTH_CLIPS):
+        clips += _build([_draw(*spec) for spec in specs[i : i + SYNTH_CLIPS]])
     return Dataset(tuple(clips), master_seed=seed)

@@ -46,9 +46,14 @@ def report_line(index: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def folds():
+def dataset():
+    """The criteria's dataset, synthesized once per module."""
+    return synth.make_dataset(10, 20, 20, seed=DATASET_SEED)
+
+
+@pytest.fixture(scope="module")
+def folds(dataset):
     """Train and evaluate the three leave-one-subject-out folds."""
-    dataset = synth.make_dataset(10, 20, 20, seed=DATASET_SEED)
     hp = network.HyperParams(
         hidden=HIDDEN, max_epochs=MAX_EPOCHS, learning_rate=LEARNING_RATE, master_seed=MASTER_SEED
     )
@@ -237,12 +242,11 @@ def test_criterion_7_end_to_end_session(folds):
     assert ok_rest
 
 
-def test_null_clips_false_positive_rate(folds):
+def test_null_clips_false_positive_rate(folds, dataset):
     """Supporting measurement: held-out Null clips streamed through the
     trained recognizer should almost never fire (tracked, per the data
     contract, as a false-positive rate rather than guaranteed zero)."""
     params = folds[0]["params"]
-    dataset = synth.make_dataset(10, 20, 20, seed=DATASET_SEED)
     null_clips = [
         c for c in dataset.clips
         if c.subject_id == FOLDS[0] and c.gesture is synth.GestureClass.NULL

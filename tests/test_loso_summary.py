@@ -24,7 +24,8 @@ def summary_tool():
 
 def test_tiny_folds_through_the_cli(summary_tool, tmp_path):
     synth_args = {"n-subjects": 3, "reps": 2, "null-reps": 2, "seed": 0}
-    rows = summary_tool.run_folds(ROOT / "src", tmp_path, synth_args, {"hidden": 8, "max_epochs": 1}, (0, 2))
+    synth, rows = summary_tool.run_folds(ROOT / "src", tmp_path, synth_args, {"hidden": 8, "max_epochs": 1}, (0, 2))
+    assert synth["seconds"] > 0 and synth["peak_rss_mb"] > 0
     assert [r["fold"] for r in rows] == [0, 2]
     for r in rows:
         assert r["class_names"] == list(CLASS_NAMES)
@@ -32,8 +33,11 @@ def test_tiny_folds_through_the_cli(summary_tool, tmp_path):
         assert calibration.TAU_LO <= r["tau"] <= calibration.TAU_HI
         assert r["train_seconds"] > 0
         assert r["train_peak_rss_mb"] > 0
-    text = summary_tool.render(rows, calibration.TAU_LO, calibration.TAU_HI, calibration.TAU_TOL)
+    text = summary_tool.render(synth, rows, calibration.TAU_LO, calibration.TAU_HI, calibration.TAU_TOL)
     lines = text.splitlines()
+    assert lines[0] == f"synth {synth['seconds']:.2f} s, peak {synth['peak_rss_mb']:.1f} MB"
+    assert lines[1] == ""
+    lines = lines[2:]
     assert lines[0].split()[-2:] == ["train", "MB"]
     assert lines[1].split()[0] == "0" and lines[2].split()[0] == "2"
     assert [float(line.split()[-1]) for line in lines[1:3]] == [round(r["train_peak_rss_mb"], 1) for r in rows]

@@ -13,11 +13,13 @@ tool runs the CLI the way acceptance criterion 1 trains its folds:
 
 for every held-out subject F = 0..9. It reads each fold's ``report.mgr``
 with ``session_io.read_report`` and its calibrated tau from the fold's
-checkpoint, then prints one row per fold (lowest per-class accuracy, macro
-accuracy, tau, whether tau sits on ``calibration.TAU_LO`` or ``TAU_HI``,
-the train command's wall time from ``timing.json`` and its peak resident
-set), the min and mean over folds of each class's accuracy, and how many
-folds hit a tau bound. A fold takes about half a minute on a 2-core host.
+checkpoint. It prints the synth command's wall time (``synth_seconds`` from
+its ``timing.json``) and peak resident set, then one row per fold (lowest
+per-class accuracy, macro accuracy, tau, whether tau sits on
+``calibration.TAU_LO`` or ``TAU_HI``, the train command's wall time from
+``timing.json`` and its peak resident set), the min and mean over folds of
+each class's accuracy, and how many folds hit a tau bound. A fold takes
+about half a minute on a 2-core host.
 
 Each command runs in a child process that the tool reaps with
 ``os.wait4``, so the peak resident set is that one child's ``ru_maxrss``.
@@ -57,14 +59,16 @@ def _cli(src: Path, *argv: str) -> float:
     return usage.ru_maxrss / 1024.0  # KiB on Linux
 
 
-def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> list[dict]:
+def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> tuple[dict, list[dict]]:
     """Synthesize once, then train and evaluate each fold through the CLI
-    of ``src``; one dict per fold with its per-class accuracy, macro
-    accuracy, tau, train seconds and train peak resident set. Needs
-    ``microgext`` of ``src`` imported."""
+    of ``src``. Returns the synth command's seconds and peak resident set,
+    and one dict per fold with its per-class accuracy, macro accuracy, tau,
+    train seconds and train peak resident set. Needs ``microgext`` of
+    ``src`` imported."""
     from microgext import session_io
 
-    _cli(src, "synth", *(f"--{k}={v}" for k, v in synth_args.items()), "--out", str(work))
+    synth_mb = _cli(src, "synth", *(f"--{k}={v}" for k, v in synth_args.items()), "--out", str(work))
+    synth = {"seconds": json.loads((work / "timing.json").read_text())["synth_seconds"], "peak_rss_mb": synth_mb}
     dataset = str(work / "dataset.mgd")
     (work / "config.json").write_text(json.dumps(config))
     rows = []
@@ -85,7 +89,7 @@ def run_folds(src: Path, work: Path, synth_args: dict, config: dict, folds) -> l
             "train_seconds": train_seconds,
             "train_peak_rss_mb": train_mb,
         })
-    return rows
+    return synth, rows
 
 
 def tau_bound(tau: float, lo: float, hi: float, tol: float) -> str:
@@ -98,13 +102,14 @@ def tau_bound(tau: float, lo: float, hi: float, tol: float) -> str:
     return ""
 
 
-def render(rows: list[dict], lo: float, hi: float, tol: float) -> str:
-    """The per-fold table, the per-class min and mean over folds, and the
-    count of folds whose tau hit a bound."""
+def render(synth: dict, rows: list[dict], lo: float, hi: float, tol: float) -> str:
+    """The synth figures, the per-fold table, the per-class min and mean
+    over folds, and the count of folds whose tau hit a bound."""
     # a class with no test clip reads None in a report, nan here
     acc = np.array([r["per_class_accuracy"] for r in rows], dtype=np.float64)
-    lines = [f"{'fold':>4s} {'min class acc':>13s} {'macro acc':>9s} {'tau':>9s} {'on bound':>8s} {'train s':>7s} "
-             f"{'train MB':>8s}"]
+    lines = [f"synth {synth['seconds']:.2f} s, peak {synth['peak_rss_mb']:.1f} MB", ""]
+    lines.append(f"{'fold':>4s} {'min class acc':>13s} {'macro acc':>9s} {'tau':>9s} {'on bound':>8s} {'train s':>7s} "
+                 f"{'train MB':>8s}")
     hits = 0
     for r, fold_acc in zip(rows, acc):
         flag = tau_bound(r["tau"], lo, hi, tol)
@@ -129,8 +134,8 @@ def main(argv=None) -> int:
     from microgext import calibration
 
     with tempfile.TemporaryDirectory(prefix="loso-summary-") as tmp:
-        rows = run_folds(args.src, Path(tmp), SYNTH_ARGS, TRAIN_CONFIG, FOLDS)
-    print(render(rows, calibration.TAU_LO, calibration.TAU_HI, calibration.TAU_TOL))
+        synth, rows = run_folds(args.src, Path(tmp), SYNTH_ARGS, TRAIN_CONFIG, FOLDS)
+    print(render(synth, rows, calibration.TAU_LO, calibration.TAU_HI, calibration.TAU_TOL))
     return 0
 
 
