@@ -320,8 +320,7 @@ def _world_frames(pose, scale, wrist_pos, wrist_quat, jitter):
         a0, a1, a2 = axes.T
         norm = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
         half = 0.5 * angles
-        s = np.sin(half)
-        wobble = (np.cos(half), s * (a0 / norm), s * (a1 / norm), s * (a2 / norm))
+        wobble = (np.cos(half), *(np.sin(half) * (axes.T / norm)))
         wq[:, rows] = quat.multiply_components(wq[:, rows], wobble)
 
     rotated = quat.rotate_components(wq, joints)
@@ -385,8 +384,6 @@ def assemble_clip_arrays(
 # ---------------------------------------------------------------------------
 
 _WRIST_BASE = np.array([0.10, 1.20, 0.35])
-_NULL_VARIANTS = ["rest", "drift", "pinch"]
-_NULL_MIX = [0.5, 0.3, 0.2]
 _N_LEAD = 14  # static lead-in frames, shorter than the T = 20 window, so no crop is pure rest
 _PINCH_BLEND = 3  # frames of each pinch ramp
 
@@ -409,15 +406,15 @@ def _vary_pose(pose: PoseParams, rng: np.random.Generator, curl_std: float = 0.0
 
 def _draw_placement(rng: np.random.Generator) -> np.ndarray:
     """The wrist's random base placement and slow drift, as one row:
-    offset (3), quaternion (4) and its norm, drift amplitude, phases (3),
-    axis (3) and its norm, rotation amplitude."""
+    offset (3), unit quaternion (4), drift amplitude, phases (3), unit
+    axis (3), rotation amplitude."""
     offset = rng.uniform(-0.05, 0.05, 3)
     q = rng.normal(size=4)
     amp = rng.uniform(0.002, 0.006)
     phase = rng.uniform(0.0, 2.0 * np.pi, 3)
     axis = rng.normal(size=3)
     rot = rng.uniform(0.01, 0.05)
-    return np.concatenate([offset, q, [np.linalg.norm(q), amp], phase, axis, [np.linalg.norm(axis), rot]])
+    return np.concatenate([offset, q / np.linalg.norm(q), [amp], phase, axis / np.linalg.norm(axis), [rot]])
 
 
 @dataclass(eq=False, slots=True)
@@ -428,8 +425,8 @@ class _Draws:
     static gesture's lead-in ramp (n_trans frames), a Null pinch's brief
     ramp up and down (pinch = start frame, hold frames), or zero. A swipe
     replaces thumb_u by its sweep (sweep = start and peak times), and a Null
-    drift adds a second wrist drift (drift = amplitude, phases (3), axis (3)
-    and its norm, rotation amplitude).
+    drift adds a second wrist sway (drift = amplitude, phases (3), unit
+    axis (3), rotation amplitude).
     """
 
     gesture: GestureClass
@@ -472,7 +469,7 @@ def _draw(gesture: GestureClass, subject: SubjectParams, seed: int) -> _Draws:
 
 def _draw_null(subject: SubjectParams, rng: np.random.Generator) -> _Draws:
     n = STATIC_FRAMES
-    variant = rng.choice(_NULL_VARIANTS, p=_NULL_MIX)
+    variant = rng.choice(["rest", "drift", "pinch"], p=[0.5, 0.3, 0.2])
     rest = _vary_pose(POSES["rest"], rng)
     place = _draw_placement(rng)
     out = _Draws(GestureClass.NULL, subject, n, STATIC_SECONDS, rest, rest, place)
@@ -484,24 +481,35 @@ def _draw_null(subject: SubjectParams, rng: np.random.Generator) -> _Draws:
         amp = rng.uniform(0.01, 0.02)
         phase = rng.uniform(0, 2 * np.pi, 3)
         axis = rng.normal(size=3)
-        out.drift = np.concatenate([[amp], phase, axis, [np.linalg.norm(axis), rng.uniform(0.08, 0.17)]])
+        out.drift = np.concatenate([[amp], phase, axis / np.linalg.norm(axis), [rng.uniform(0.08, 0.17)]])
     out.jitter = _draw_jitter(rng, n, subject.pose_jitter_std)
     return out
+
+
+def _sway(pos, q, t, pos_freq, rot_freq, amp, phase, axis, rot):
+    """A wrist pose (pos (3, n), q (4, n)) swayed over times t: each position
+    axis by amp sin(pos_freq t + phase), the orientation by a turn of
+    rot sin(rot_freq t) about a unit axis. Per-clip values are (1, n) or
+    (3, n) rows."""
+    half = 0.5 * rot[0] * np.sin(rot_freq * t)
+    s = np.sin(half)
+    turn = (np.cos(half), *(s * axis))
+    return pos + amp[0] * np.sin(pos_freq * t + phase), np.array(quat.multiply_components(q, turn))
 
 
 def _frames_with(draws: list[_Draws], clip: np.ndarray, field: str):
     """The frames of the clips whose ``field`` is set: their rows (every row
     as a slice when all clips have it, else an index array) and each row's
-    value of the field; None when no clip has it."""
+    value of the field, one array per component; None when no clip has it."""
     values = [getattr(d, field) for d in draws]
     has = np.array([v is not None for v in values])
     if not has.any():
         return None
     table = np.array([v for v in values if v is not None])
     if has.all():
-        return slice(None), table[clip]
+        return slice(None), table[clip].T
     rows = np.flatnonzero(has[clip])
-    return rows, table[(np.cumsum(has) - 1)[clip[rows]]]
+    return rows, table[(np.cumsum(has) - 1)[clip[rows]]].T
 
 
 def _build(draws: list[_Draws]) -> list[LabeledClip]:
@@ -518,7 +526,7 @@ def _build(draws: list[_Draws]) -> list[LabeledClip]:
         r, n_trans = found
         alpha[r] = _smoothstep((j[r] - _N_LEAD) / n_trans)
     if found := _frames_with(draws, clip, "pinch"):
-        r, (start, n_hold) = found[0], found[1].T
+        r, (start, n_hold) = found
         k, m = j[r] - start, _PINCH_BLEND
         a = np.zeros(len(k))
         rising = (k >= 0) & (k < m)
@@ -534,7 +542,7 @@ def _build(draws: list[_Draws]) -> list[LabeledClip]:
 
     # swipe: the thumb sweeps 0% -> 100% -> 0% along the index segment
     if found := _frames_with(draws, clip, "sweep"):
-        r, (t_start, t_peak) = found[0], found[1].T
+        r, (t_start, t_peak) = found
         tr, t_end = t[r], t[ends - 1][clip[r]]
         pose[6, r] = np.where(
             tr <= t_start,
@@ -546,27 +554,15 @@ def _build(draws: list[_Draws]) -> list[LabeledClip]:
             ),
         )
 
-    # wrist world pose: random base placement plus slow drift
-    place = np.array([d.place for d in draws])
-    base_pos = (_WRIST_BASE + place[:, 0:3]).T[:, clip]
-    base_quat = (place[:, 3:7] / place[:, 7:8]).T[:, clip]
-    amp, rot = place[:, 8][clip], place[:, 16][clip]
-    phase = place[:, 9:12].T[:, clip]
-    axis = (place[:, 12:15] / place[:, 15:16]).T[:, clip]
-    wrist_pos = base_pos + amp * np.sin(2.0 * np.pi * 0.25 * t + phase)
-    half = 0.5 * rot * np.sin(0.5 * t)
-    s = np.sin(half)
-    wrist_quat = np.array(quat.multiply_components(base_quat, (np.cos(half), s * axis[0], s * axis[1], s * axis[2])))
-
-    # Null drift: a larger second sway of the wrist
+    # wrist world pose: random base placement plus slow drift, and a Null
+    # drift clip's larger second sway on top
+    place = np.array([d.place for d in draws]).T[:, clip]
+    wrist_pos, wrist_quat = _sway(_WRIST_BASE[:, None] + place[0:3], place[3:7], t, 2.0 * np.pi * 0.25, 0.5,
+                                  *np.split(place[7:], [1, 4, 7]))
     if found := _frames_with(draws, clip, "drift"):
-        r, drift = found[0], found[1].T
-        amp, phase, axis, rot = drift[0], drift[1:4], drift[4:7] / drift[7], drift[8]
-        tr = t[r]
-        wrist_pos[:, r] = wrist_pos[:, r] + amp * np.sin(2 * np.pi * 0.4 * tr + phase)
-        half = 0.5 * rot * np.sin(1.2 * tr)
-        s = np.sin(half)
-        wrist_quat[:, r] = quat.multiply_components(wrist_quat[:, r], (np.cos(half), s * axis[0], s * axis[1], s * axis[2]))
+        r, drift = found
+        wrist_pos[:, r], wrist_quat[:, r] = _sway(wrist_pos[:, r], wrist_quat[:, r], t[r], 2 * np.pi * 0.4, 1.2,
+                                                  *np.split(drift, [1, 4, 7]))
 
     jitter = None
     if any(d.jitter for d in draws):
