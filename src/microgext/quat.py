@@ -29,15 +29,14 @@ def multiply_components(a, b) -> tuple:
     )
 
 
-def _components(a) -> list[np.ndarray]:
-    """The last axis of ``a`` as a list of float64 component arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    return [a[..., i] for i in range(a.shape[-1])]
-
-
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b, broadcasting over leading axes."""
-    return np.stack(multiply_components(_components(a), _components(b)), axis=-1)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.stack(
+        multiply_components((a[..., 0], a[..., 1], a[..., 2], a[..., 3]), (b[..., 0], b[..., 1], b[..., 2], b[..., 3])),
+        axis=-1,
+    )
 
 
 def conjugate(q: np.ndarray) -> np.ndarray:
@@ -69,7 +68,11 @@ def rotate_components(q, v) -> tuple:
 
 def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) v (..., 3) by unit quaternion(s) q (..., 4)."""
-    return np.stack(rotate_components(_components(q), _components(v)), axis=-1)
+    q = np.asarray(q, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return np.stack(
+        rotate_components((q[..., 0], q[..., 1], q[..., 2], q[..., 3]), (v[..., 0], v[..., 1], v[..., 2])), axis=-1
+    )
 
 
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
