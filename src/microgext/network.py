@@ -19,13 +19,13 @@ a shared per-element map followed by mean pooling is permutation invariant).
 The temperature tau only rescales logits for the calibrated probabilities;
 it never changes the argmax and is excluded from gradient-based training.
 
-``joint_stage`` is the frame-local part, from the input to h0. ``forward_batch`` runs
-it on whole windows for training and evaluation; the streaming predictor
-(``stream.ModelPredictor``) runs it on one new frame per push and keeps the
-window's rows itself, with no embedding head.
-
-Both passes work on flat rows: Q, K and V come from one (B*T, H) @ (H, 3H)
-GEMM against ``qkv_weight`` and the state head runs on (B*T, 2H) rows.
+``joint_stage`` is the frame-local part, from the input to h0, and ``heads``
+the rest from a window's Q/K/V and h0 rows: the attention, the class head
+with its tau softmax and the sub-state head. ``forward_batch`` runs both on
+whole windows for training and evaluation and adds the embedding head. The
+streaming predictor (``stream.ModelPredictor``) runs ``joint_stage`` and the
+fused Q/K/V projection (``qkv_weight``) on one new frame per push, keeps
+the window's rows itself and calls ``heads`` on them.
 
 Every array takes its dtype from the parameters: ``training.train`` runs the
 step on float32 tensors, while float64 parameters (``init_params``, a loaded
@@ -189,6 +189,31 @@ def qkv_weight(params: ModelParams) -> np.ndarray:
     return np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
 
 
+def heads(params: ModelParams, qkv: np.ndarray, h0: np.ndarray) -> dict[str, np.ndarray]:
+    """Attention and the class and sub-state heads of windows given as
+    [q | k | v] rows (..., T, 3H) and h0 rows (..., T, H).
+
+    Returns class_logits (..., 8), class_probs (softmax of logits / tau)
+    and state_logits (..., T, 5), and for the backward pass attn
+    (..., T, T), g (..., H), the frame-mean attention output, and u_cat
+    (..., T, 2H).
+    """
+    p = params.tensors
+    hidden = params.hp.hidden
+    q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
+    attn = losses.softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(hidden)))
+    a = attn @ v
+    g = a.mean(axis=-2)
+    class_logits = g @ p["w_class"] + p["b_class"]
+    # the state head takes every frame's (2H) row in one GEMM
+    u_cat = np.concatenate([a, h0], axis=-1)
+    state_logits = (u_cat.reshape(-1, 2 * hidden) @ p["w_state"] + p["b_state"]).reshape(*a.shape[:-1], N_STATES)
+    if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
+        raise NonFiniteActivation("non-finite activations in forward pass")
+    return {"class_logits": class_logits, "class_probs": losses.softmax(class_logits / params.tau),
+            "state_logits": state_logits, "attn": attn, "g": g, "u_cat": u_cat}
+
+
 def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     """Run the network on a batch (B, T, J, D).
 
@@ -205,37 +230,19 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     p = params.tensors
     hidden = params.hp.hidden
     stage = joint_stage(params, x)
-    h0 = stage["h0"]  # (B, T, H)
-    h = h0 + p["temporal_embed"]
-
-    # Q, K and V as one flat (B*T, H) @ (H, 3H) GEMM; q, k, v are views
+    h = stage["h0"] + p["temporal_embed"]  # (B, T, H)
+    # Q, K and V as one flat (B*T, H) @ (H, 3H) GEMM
     w_qkv = qkv_weight(params)
     qkv = (h.reshape(-1, hidden) @ w_qkv).reshape(*h.shape[:2], 3 * hidden)
-    q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
-    attn = losses.softmax((q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(hidden)))
-    a = attn @ v
+    out = heads(params, qkv, stage["h0"])
 
-    g = a.mean(axis=1)  # (B, H)
-    class_logits = g @ p["w_class"] + p["b_class"]
-    u_cat = np.concatenate([a, h0], axis=-1)  # (B, T, 2H)
-    state_logits = (u_cat.reshape(-1, 2 * hidden) @ p["w_state"] + p["b_state"]).reshape(*h.shape[:2], N_STATES)
-    e_raw = g @ p["w_embed"] + p["b_embed"]
-    norms = np.linalg.norm(e_raw, axis=-1, keepdims=True)
-    norms = np.maximum(norms, 1e-12)
-    embedding = e_raw / norms
-    class_probs = losses.softmax(class_logits / params.tau)
-
-    if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
-        raise NonFiniteActivation("non-finite activations in forward pass")
-
-    out = {
-        "class_logits": class_logits,
-        "class_probs": class_probs,
-        "state_logits": state_logits,
-        "embedding": embedding,
-    }
-    if want_cache:
-        out.update(stage, h=h, w_qkv=w_qkv, qkv=qkv, attn=attn, g=g, u_cat=u_cat, e_norms=norms)
+    # the contrastive embedding head, which only training reads
+    e_raw = out["g"] @ p["w_embed"] + p["b_embed"]
+    norms = np.maximum(np.linalg.norm(e_raw, axis=-1, keepdims=True), 1e-12)
+    out["embedding"] = e_raw / norms
+    if not want_cache:
+        return {key: out[key] for key in ("class_logits", "class_probs", "state_logits", "embedding")}
+    out.update(stage, h=h, w_qkv=w_qkv, qkv=qkv, e_norms=norms)
     return out
 
 

@@ -46,6 +46,7 @@ from .synth import (
     PoseParams,
     PoseTrack,
     SubjectParams,
+    _smoothstep,
     assemble_clip_arrays,
     stable_hash,
 )
@@ -166,8 +167,7 @@ def _frames(seconds: float) -> int:
 
 
 def _smooth(n: int) -> np.ndarray:
-    x = np.linspace(0.0, 1.0, n, endpoint=True)
-    return x * x * (3.0 - 2.0 * x)
+    return _smoothstep(np.linspace(0.0, 1.0, n))
 
 
 def compile_scenario(sc: Scenario):

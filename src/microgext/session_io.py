@@ -285,9 +285,19 @@ def write_session(path, frames: list[HandFrame], events: list[GestureEvent]) -> 
             )
 
 
+def _finite(text: str, field: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise CorruptRecord(f"non-finite {field} {text!r}")
+    return value
+
+
 def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
+    """Frames and events of a recording. Timestamps and confidences must be
+    finite, and each hand's frames must come in increasing time order."""
     frames: list[HandFrame] = []
     events: list[GestureEvent] = []
+    last_ts: dict[Handedness, float] = {}
     with _open_text(path, "session") as fh:
         header = fh.readline().strip()
         if not header.startswith(f"MGS{MGS_VERSION} "):
@@ -301,10 +311,13 @@ def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
                 continue
             try:
                 if parts[0] == "F":
-                    ts = float(parts[1])
+                    ts = _finite(parts[1], "timestamp")
                     if parts[2] not in ("R", "L"):
                         raise CorruptRecord(f"frame record at line {lineno} has hand {parts[2]!r}, not R or L")
                     hand = Handedness.RIGHT if parts[2] == "R" else Handedness.LEFT
+                    if ts <= last_ts.get(hand, -math.inf):
+                        raise CorruptRecord(f"{hand.value} frame at {ts} is not after the one at {last_ts[hand]}")
+                    last_ts[hand] = ts
                     vals = np.array([float(v) for v in parts[3:]])
                     if vals.size != NUM_JOINTS * 7:
                         raise CorruptRecord(f"frame record at line {lineno} has {vals.size} floats")
@@ -316,8 +329,8 @@ def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
                     events.append(
                         GestureEvent(
                             gesture=GestureClass(parts[2]),
-                            fired_at=float(parts[1]),
-                            mean_confidence=float(parts[3]),
+                            fired_at=_finite(parts[1], "timestamp"),
+                            mean_confidence=_finite(parts[3], "confidence"),
                         )
                     )
                 else:
@@ -360,7 +373,7 @@ def read_command_log(path):
             if not parts:
                 continue
             try:
-                timestamp = float(parts[0])
+                timestamp = _finite(parts[0], "timestamp")
                 kind = CommandKind(parts[1])
                 moves = kind in (CommandKind.MOVE_CARET, CommandKind.SELECT_RANGE)
                 sets_mode = kind is CommandKind.SET_GRANULARITY

@@ -11,9 +11,9 @@ The model's predictor is incremental (Transformer-XL-style state reuse,
 Dai et al. 2019). The per-joint stage is frame-local, and the temporal
 embedding TE enters the attention projections linearly:
 (h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. So a push runs the per-joint stage
-and one fused Q/K/V projection on the newest frame only, into rings of the last
-T frames, and a full window costs one T x T attention plus the class and
-sub-state heads. The contrastive embedding head is never computed online.
+and one fused Q/K/V projection on the newest frame only, into rings of the
+last T frames, and a full window costs one ``network.heads`` call, the same
+attention and heads that training runs. The embedding head never runs online.
 
 Each inference also reads the swipe progress u of the newest frame
 (``last_swipe_u``), from which the session runner derives a swipe's
@@ -94,19 +94,18 @@ class ModelPredictor:
 
     ``push(features)`` takes one frame's (J, D) features, runs the per-joint
     stage on it and stores its pooled embedding h0 and its [q | k | v] row
-    h0 @ ``network.qkv_weight``. ``__call__()`` reads the last T pushed frames (the
-    caller pushes at least T first), adds the (TE @ W) row of each frame's
-    window position, and returns ``(class_probs (8,), state_logits (T, 5))``
-    as ``forward_batch`` would for that window, up to float rounding.
+    h0 @ ``network.qkv_weight``. ``__call__()`` adds the (TE @ W) row of each
+    window position to the rows of the last T pushed frames (the caller
+    pushes at least T first) and runs ``network.heads`` on them, so it
+    returns ``(class_probs (8,), state_logits (T, 5))`` as ``forward_batch``
+    would for that window, up to float rounding.
     """
 
     def __init__(self, params: network.ModelParams):
         self.params = params
-        p = params.tensors
         hidden = params.hp.hidden
         self._w_qkv = network.qkv_weight(params)  # (H, 3H)
-        self._te_qkv = p["temporal_embed"] @ self._w_qkv  # (T, 3H)
-        self._scale = 1.0 / np.sqrt(hidden)
+        self._te_qkv = params.tensors["temporal_embed"] @ self._w_qkv  # (T, 3H)
         # each ring stores a frame's row twice, at slots i and i + T, so the
         # last T frames in time order are always the view [next, next + T)
         self._h0 = np.zeros((2 * T_WINDOW, hidden))
@@ -125,19 +124,9 @@ class ModelPredictor:
         self._next = (i + 1) % T_WINDOW
 
     def __call__(self):
-        p = self.params.tensors
-        hidden = self.params.hp.hidden
         n = self._next
-        qkv = self._qkv[n : n + T_WINDOW] + self._te_qkv
-        q, k, v = qkv[:, :hidden], qkv[:, hidden : 2 * hidden], qkv[:, 2 * hidden :]
-        attn = losses.softmax((q @ k.T) * self._scale)
-        a = attn @ v
-        class_logits = a.mean(axis=0) @ p["w_class"] + p["b_class"]
-        u_cat = np.concatenate([a, self._h0[n : n + T_WINDOW]], axis=-1)
-        state_logits = u_cat @ p["w_state"] + p["b_state"]
-        if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
-            raise network.NonFiniteActivation("non-finite activations in streaming forward")
-        return losses.softmax(class_logits / self.params.tau), state_logits
+        out = network.heads(self.params, self._qkv[n : n + T_WINDOW] + self._te_qkv, self._h0[n : n + T_WINDOW])
+        return out["class_probs"], out["state_logits"]
 
 
 def swipe_progress(state_logits: np.ndarray):

@@ -145,6 +145,11 @@ def _smoothstep(x):
     return x * x * (3.0 - 2.0 * x)
 
 
+def _smooth(n):
+    x = np.linspace(0.0, 1.0, n, endpoint=True)
+    return x * x * (3.0 - 2.0 * x)
+
+
 def _clip_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -287,7 +292,7 @@ def assemble_scenario(sc, tracks, left_segments, expected):
     lrng = np.random.Generator(np.random.PCG64(stable_hash(sc.seed, "scenario-left")))
     for start_frame, n_menu, n_spread, mode in left_segments:
         target = np.radians(scenario._SECTOR_CENTERS[mode])
-        rolls = np.concatenate([target * scenario._smooth(n_menu), np.full(n_spread, target)])
+        rolls = np.concatenate([target * _smooth(n_menu), np.full(n_spread, target)])
         poses = [POSES["thumb_up"]] * n_menu + [POSES["spread_four"]] * n_spread
         ltrack = PoseTrack.concat([PoseTrack.constant(p, 1) for p in poses])
         lt = (start_frame + np.arange(n_menu + n_spread) + 0.5) / FRAME_RATE

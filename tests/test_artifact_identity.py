@@ -32,9 +32,15 @@ def test_each_tree_streams_with_its_own_checkpoint(identity_tool, tmp_path):
     steps = identity_tool.commands(tmp_path, tmp_path / "own.mgc")
     streams = [argv for name, argv in steps.items() if name.startswith("stream-")]
     assert len(streams) == len(identity_tool.STREAM_SEEDS) == 8
-    for argv in streams:
+    for argv in streams + [steps["replay"]]:
         assert argv[argv.index("--checkpoint") + 1] == str(tmp_path / "own.mgc")
-    assert not any(name.startswith("stream-") for name in identity_tool.commands(tmp_path, None))
+    # the replay reads the tree's own seed-7 recording, after that run wrote it
+    replay = steps["replay"]
+    assert replay[replay.index("--session") + 1] == str(tmp_path / "stream-7" / "session.mgs")
+    assert list(steps).index("replay") > list(steps).index("stream-7")
+    assert set(identity_tool.commands(tmp_path, None)) == {"synth", "train", "eval"}
+    # 12 exit codes, 4 fold artifacts and 4 outputs of each of the 9 stream runs
+    assert len(steps) + len(identity_tool.artifacts(streams=True)) == 52
 
 
 def test_differences_are_reported(identity_tool, tmp_path):
@@ -46,7 +52,8 @@ def test_differences_are_reported(identity_tool, tmp_path):
     (change / "checkpoint.mgc").write_bytes(b"other bytes")
     (parent / "stream-9" / "events.json").unlink()
     (change / "stream-9" / "events.json").unlink()
+    (change / "replay" / "commands.log").write_bytes(b"other bytes")
     rows = dict(identity_tool.compare(parent, change, {"train": 0, "eval": 0}, {"train": 0, "eval": 2},
                                       streams=True))
     differing = sorted(label for label, same in rows.items() if not same)
-    assert differing == ["checkpoint.mgc", "exit eval 0 2", "stream-9/events.json"]
+    assert differing == ["checkpoint.mgc", "exit eval 0 2", "replay/commands.log", "stream-9/events.json"]

@@ -105,6 +105,13 @@ class TestCommandLog:
         with pytest.raises(session_io.CorruptRecord, match="line 2"):
             read_command_log(path)
 
+    @pytest.mark.parametrize("timestamp", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_rejected(self, tmp_path, timestamp):
+        path = tmp_path / "commands.log"
+        path.write_text(f"MGL1\n0.5 Cut\n{timestamp} Copy\n")
+        with pytest.raises(session_io.CorruptRecord, match="line 3.*non-finite timestamp"):
+            read_command_log(path)
+
     def test_non_utf8_byte_rejected(self, tmp_path):
         path = tmp_path / "commands.log"
         path.write_bytes(b"MGL1\n0.5 Cut\xff\n")

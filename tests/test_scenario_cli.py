@@ -337,6 +337,16 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert "latin1.mgs" in r.output and "CorruptRecord" in r.output
 
+    def test_stream_session_going_back_in_time_is_a_usage_error(self, tmp_path, ckpt_path):
+        frames, _ = compile_scenario(default_scenario(7))
+        right = [f for f in frames if f.handedness is Handedness.RIGHT][:30]
+        bad = tmp_path / "backward.mgs"
+        session_io.write_session(bad, right[:25] + [right[10]] + right[25:], [])
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(bad),
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "backward.mgs" in r.output and "CorruptRecord" in r.output and "not after" in r.output
+
     def test_config_with_non_finite_value_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"learning_rate": NaN}')

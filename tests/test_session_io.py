@@ -544,6 +544,44 @@ class TestSession:
         with pytest.raises(CorruptRecord, match="hand 'X'"):
             read_session(path)
 
+    @staticmethod
+    def recording(path, records):
+        """An empty recording followed by ``records``: (timestamp, hand) for a
+        frame at rest, or an already rendered line."""
+        rest = " ".join(["0.0 0.0 0.0 1.0 0.0 0.0 0.0"] * NUM_JOINTS)
+        write_session(path, [], [])
+        with open(path, "a") as fh:
+            for record in records:
+                fh.write(record + "\n" if isinstance(record, str) else f"F {record[0]} {record[1]} {rest}\n")
+        return path
+
+    @pytest.mark.parametrize("record, field", [
+        (("nan", "R"), "timestamp"),
+        (("inf", "L"), "timestamp"),
+        ("E nan Ring 0.97", "timestamp"),
+        ("E -inf Ring 0.97", "timestamp"),
+        ("E 1.0 Ring nan", "confidence"),
+        ("E 1.0 Ring inf", "confidence"),
+    ])
+    def test_non_finite_timestamp_or_confidence_rejected(self, tmp_path, record, field):
+        path = self.recording(tmp_path / "s.mgs", [("0.5", "R"), record])
+        with pytest.raises(CorruptRecord, match=f"line 3.*non-finite {field}"):
+            read_session(path)
+
+    @pytest.mark.parametrize("second", ["1.0", "0.5"], ids=["repeated", "backward"])
+    def test_frame_not_after_the_previous_of_its_hand_rejected(self, tmp_path, second):
+        path = self.recording(tmp_path / "s.mgs", [("1.0", "R"), ("0.25", "L"), (second, "R")])
+        with pytest.raises(CorruptRecord, match=f"line 4.*Right frame at {second} is not after the one at 1.0"):
+            read_session(path)
+
+    def test_hands_are_ordered_separately(self, tmp_path):
+        # each hand's frames go forward; the merged stream may interleave them
+        path = self.recording(tmp_path / "s.mgs", [("1.0", "R"), ("0.5", "L"), ("1.25", "R"), ("0.75", "L")])
+        frames, _ = read_session(path)
+        assert [(f.timestamp, f.handedness.value) for f in frames] == [
+            (1.0, "Right"), (0.5, "Left"), (1.25, "Right"), (0.75, "Left"),
+        ]
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "s.mgs"
         path.write_text("MGS9 joints=Wrist\n")

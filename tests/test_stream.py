@@ -196,8 +196,9 @@ def default_sessions():
 
 
 class TestIncrementalForward:
-    def test_matches_forward_batch_on_every_frame(self, default_sessions):
-        params = network.init_params(network.HyperParams(hidden=32), seed=4)
+    @pytest.mark.parametrize("tau", [1.0, 0.6])
+    def test_matches_forward_batch_on_every_frame(self, default_sessions, tau):
+        params = network.init_params(network.HyperParams(hidden=32), seed=4).with_tau(tau)
         for frames, _ in default_sessions:
             features = [
                 features_from_arrays(f.positions, f.orientations)
@@ -236,14 +237,17 @@ class TestIncrementalForward:
         with pytest.raises(ShapeMismatch):
             predictor.push(np.zeros((T_WINDOW, 11, 7)))
 
-    def test_non_finite_activation_raised(self):
+    @pytest.mark.parametrize("bias", ["b_class", "b_state"])
+    def test_non_finite_activation_raised(self, bias):
         params = network.init_params(network.HyperParams(hidden=8), seed=0)
         predictor = ModelPredictor(params)
         for _ in range(T_WINDOW):
             predictor.push(np.zeros((11, 7)))
-        predictor.params.tensors["b_class"][0] = np.inf  # poison after construction
+        params.tensors[bias][0] = np.inf  # poison after construction
         with pytest.raises(NonFiniteActivation):
             predictor()
+        with pytest.raises(NonFiniteActivation):
+            network.forward_batch(params, np.zeros((1, *network.INPUT_SHAPE)))
 
 
 class TestInferenceThreadCap:

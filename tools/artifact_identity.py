@@ -15,13 +15,17 @@ With ``--checkpoints``, each tree then runs ``stream --script default
 --seed S`` for S = 7..14 with its own model: PARENT_MGC under PARENT_SRC and
 CHANGE_MGC under CHANGE_SRC (for example each tree's hidden-256 benchmark
 model), so two trees whose checkpoint formats differ can still be compared.
-Without it the stream runs are skipped, and the tool says so: the tiny
-model trained above does not replay the script, so its sessions would only
-compare two failed runs.
+Each tree then replays its own recording of the seed-7 run, ``stream
+--session stream-7/session.mgs --out replay``, which runs the ``.mgs``
+reader end to end.
+Without ``--checkpoints`` the stream runs are skipped, and the tool says so:
+the tiny model trained above does not replay the script, so its sessions
+would only compare two failed runs.
 
 It compares ``dataset.mgd``, ``checkpoint.mgc``, ``training_log.json``,
-``report.mgr`` and every stream output byte for byte, and each command's
-exit code. It prints one line per artifact and exits 1 on any difference.
+``report.mgr`` and the outputs of every stream run and of the replay byte
+for byte, and each command's exit code. It prints one line per artifact and
+exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ TRAIN_CONFIG = {"hidden": 16, "max_epochs": 3}
 STREAM_SEEDS = range(7, 15)
 FOLD_ARTIFACTS = ("dataset.mgd", "checkpoint.mgc", "training_log.json", "report.mgr")
 STREAM_ARTIFACTS = ("session.mgs", "commands.log", "final_document.txt", "events.json")
+REPLAY_OF = "stream-7"  # the recorded session the replay run reads
 
 
 def commands(work: Path, checkpoint: Path | None) -> dict[str, list[str]]:
@@ -54,6 +59,8 @@ def commands(work: Path, checkpoint: Path | None) -> dict[str, list[str]]:
         for seed in STREAM_SEEDS:
             steps[f"stream-{seed}"] = ["stream", "--checkpoint", str(checkpoint), "--script", "default",
                                        "--seed", str(seed), "--out", str(work / f"stream-{seed}")]
+        steps["replay"] = ["stream", "--checkpoint", str(checkpoint), "--session",
+                           str(work / REPLAY_OF / "session.mgs"), "--out", str(work / "replay")]
     return steps
 
 
@@ -72,8 +79,8 @@ def run_tree(src: Path, work: Path, checkpoint: Path | None) -> dict[str, int]:
 def artifacts(streams: bool) -> list[str]:
     names = list(FOLD_ARTIFACTS)
     if streams:
-        for seed in STREAM_SEEDS:
-            names += [f"stream-{seed}/{name}" for name in STREAM_ARTIFACTS]
+        for run in [f"stream-{seed}" for seed in STREAM_SEEDS] + ["replay"]:
+            names += [f"{run}/{name}" for name in STREAM_ARTIFACTS]
     return names
 
 

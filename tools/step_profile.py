@@ -5,9 +5,10 @@
 Trains fold 0 (subject 0 held out) of the default synthetic dataset (10
 subjects, 20 repetitions per gesture and 20 Null, seed 0) at the CI
 configuration (hidden 64, learning rate 2e-3, master seed 5, up to 60
-epochs) and prints, for ``network.joint_stage``, ``network.forward_batch``
-and ``network.loss_and_grads``, the median time of each top-level statement
-of the function body over every call, beside the median of the whole call.
+epochs) and prints, for ``network.joint_stage``, ``network.heads``,
+``network.forward_batch`` and ``network.loss_and_grads``, the median time of
+each top-level statement of the function body over every call, beside the
+median of the whole call.
 
 The functions are instrumented in memory: the tool parses each one's
 source, wraps every top-level statement of its body in a clock reading and
@@ -15,9 +16,10 @@ source, wraps every top-level statement of its body in a clock reading and
 puts it in place of the original until the fold is done. No source file is
 edited. A compound statement (``if``, ``for``, ``with``) is timed as one.
 Times nest: the ``forward_batch`` statement of ``loss_and_grads`` includes
-the whole forward, which is itemized again under ``forward_batch``.
-``forward_batch`` rows pool the cached forwards of the training steps with
-the validation-loss forwards of each epoch; ``joint_stage`` rows likewise.
+the whole forward, which is itemized again under ``forward_batch``, and its
+``heads`` statement is itemized under ``heads``. ``forward_batch`` rows pool
+the cached forwards of the training steps with the validation-loss forwards
+of each epoch; ``joint_stage`` and ``heads`` rows likewise.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-FUNCTIONS = ("joint_stage", "forward_batch", "loss_and_grads")
+FUNCTIONS = ("joint_stage", "heads", "forward_batch", "loss_and_grads")
 CI_HIDDEN, CI_LEARNING_RATE, CI_MASTER_SEED, CI_EPOCHS = 64, 2e-3, 5, 60
 SUBJECTS, REPS, NULL_REPS, DATASET_SEED = 10, 20, 20, 0
 FOLD = 0
