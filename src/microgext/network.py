@@ -201,7 +201,7 @@ def heads(params: ModelParams, qkv: np.ndarray, h0: np.ndarray) -> dict[str, np.
     p = params.tensors
     hidden = params.hp.hidden
     q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
-    attn = losses.softmax((q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(hidden)))
+    attn = losses.softmax((q @ k.mT) * (1.0 / math.sqrt(hidden)))
     a = attn @ v
     g = a.mean(axis=-2)
     class_logits = g @ p["w_class"] + p["b_class"]
