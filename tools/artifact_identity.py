@@ -17,10 +17,9 @@ CHANGE_MGC under CHANGE_SRC (for example each tree's hidden-256 benchmark
 model), so two trees whose checkpoint formats differ can still be compared.
 Each tree then replays its own recording of the seed-7 run, ``stream
 --session stream-7/session.mgs --out replay``, which runs the ``.mgs``
-reader end to end.
-Without ``--checkpoints`` the stream runs are skipped, and the tool says so:
-the tiny model trained above does not replay the script, so its sessions
-would only compare two failed runs.
+reader end to end. Without ``--checkpoints`` the stream runs are skipped,
+and the tool says so: the tiny model trained above does not replay the
+script, so its sessions would only compare two failed runs.
 
 It compares ``dataset.mgd``, ``checkpoint.mgc``, ``training_log.json``,
 ``report.mgr`` and the outputs of every stream run and of the replay byte
@@ -42,7 +41,6 @@ TRAIN_CONFIG = {"hidden": 16, "max_epochs": 3}
 STREAM_SEEDS = range(7, 15)
 FOLD_ARTIFACTS = ("dataset.mgd", "checkpoint.mgc", "training_log.json", "report.mgr")
 STREAM_ARTIFACTS = ("session.mgs", "commands.log", "final_document.txt", "events.json")
-REPLAY_OF = "stream-7"  # the recorded session the replay run reads
 
 
 def commands(work: Path, checkpoint: Path | None) -> dict[str, list[str]]:
@@ -60,7 +58,7 @@ def commands(work: Path, checkpoint: Path | None) -> dict[str, list[str]]:
             steps[f"stream-{seed}"] = ["stream", "--checkpoint", str(checkpoint), "--script", "default",
                                        "--seed", str(seed), "--out", str(work / f"stream-{seed}")]
         steps["replay"] = ["stream", "--checkpoint", str(checkpoint), "--session",
-                           str(work / REPLAY_OF / "session.mgs"), "--out", str(work / "replay")]
+                           str(work / "stream-7" / "session.mgs"), "--out", str(work / "replay")]
     return steps
 
 
