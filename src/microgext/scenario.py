@@ -36,7 +36,7 @@ from .interaction import (
     detect_pinch_hold,
     mode_switch_step,
 )
-from .skeleton import HandFrame, Handedness
+from .skeleton import HandFrame, Handedness, frames_from_arrays
 from .stream import LatencyHistogram, StreamRuntime, inference_thread_cap, latency_percentiles
 from .synth import (
     FRAME_RATE,
@@ -248,7 +248,7 @@ def _assemble(sc: Scenario, tracks, left_segments, expected):
     base_q = quat.from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
     wrist_quat = np.tile(base_q, (n, 1))
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
-    right = [HandFrame(float(ts[i]), Handedness.RIGHT, pos[i], ori[i]) for i in range(n)]
+    right = frames_from_arrays(ts, Handedness.RIGHT, pos, ori)
 
     left: list[HandFrame] = []
     lrng = np.random.Generator(np.random.PCG64(stable_hash(sc.seed, "scenario-left")))
@@ -261,7 +261,7 @@ def _assemble(sc: Scenario, tracks, left_segments, expected):
         lq = np.stack([quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), r) for r in rolls])
         lpos = np.tile(_LEFT_BASE, (len(lt), 1))
         lts, lp, lo = assemble_clip_arrays(ltrack, lt, lpos, lq, subject, lrng)
-        left.extend(HandFrame(float(lts[i]), Handedness.LEFT, lp[i], lo[i]) for i in range(len(lt)))
+        left.extend(frames_from_arrays(lts, Handedness.LEFT, lp, lo))
 
     frames = sorted(right + left, key=lambda f: f.timestamp)
     return frames, expected

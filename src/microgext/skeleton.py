@@ -9,8 +9,10 @@ motion of the whole hand, which the tests assert directly.
 
 A HandFrame is one tracked skeleton: a timestamp, a handedness and two
 read-only joint arrays, positions (11, 3) and orientations (11, 4), which
-every consumer reads directly. All types are immutable values; operations
-are pure functions.
+every consumer reads directly. A frame built alone checks and copies its own
+values; ``frames_from_arrays`` builds a whole timeline from stacked arrays,
+with one copy and one check under the same rules. All types are immutable
+values; operations are pure functions.
 """
 
 from __future__ import annotations
@@ -61,6 +63,36 @@ class MixedHandedness(ValueError):
     pass
 
 
+def _check_frames(timestamps: np.ndarray, handedness, positions: np.ndarray, orientations: np.ndarray) -> None:
+    """Raise ValueError unless stacked float64 frames, (n,) timestamps with
+    (n, 11, 3) positions and (n, 11, 4) orientations of one hand, are valid
+    HandFrames. The one place where the HandFrame rules and their messages
+    live, whether a frame is built alone or a whole timeline at once."""
+    if not isinstance(handedness, Handedness):
+        raise ValueError(f"handedness must be a Handedness, got {handedness!r}")
+    if positions.shape[1:] != (NUM_JOINTS, 3) or orientations.shape[1:] != (NUM_JOINTS, 4):
+        raise ValueError(
+            f"expected ({NUM_JOINTS}, 3) positions and ({NUM_JOINTS}, 4) orientations, "
+            f"got {positions.shape[1:]} and {orientations.shape[1:]}"
+        )
+    if not (timestamps.shape == (len(positions),) == (len(orientations),)):
+        raise ValueError(
+            f"got {timestamps.shape} timestamps for {len(positions)} positions and {len(orientations)} orientations"
+        )
+    if not np.all(np.isfinite(timestamps)):
+        raise ValueError("timestamps must be finite")
+    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(orientations))):
+        raise ValueError("joint positions and orientations must be finite")
+    if np.any(np.abs(np.linalg.norm(orientations, axis=-1) - 1.0) > 1e-6):
+        raise ValueError("orientations must be unit quaternions (|norm - 1| <= 1e-6)")
+
+
+def _read_only_copy(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HandFrame:
     """One timestamped pose of all 11 joints of a single hand.
@@ -68,10 +100,12 @@ class HandFrame:
     ``positions`` (11, 3) holds joint positions in meters, tracking space;
     ``orientations`` (11, 4) holds unit quaternions (w, x, y, z). Row order
     is fixed: wrist first, then tip/below-tip pairs per finger (thumb,
-    index, middle, ring, pinky). Both arrays are float64 copies of the
-    caller's values, stored read-only. Quaternions are validated, not
-    renormalized, so 32-bit serialization round-trips bit for bit: every
-    norm must already be within 1e-6 of 1.
+    index, middle, ring, pinky). The timestamp is stored as a finite Python
+    float. Both arrays are read-only float64 rows of one copy of the
+    caller's values: a frame built alone owns its copy, and the frames of
+    ``frames_from_arrays`` share one copy per timeline. Quaternions are
+    validated, not renormalized, so 32-bit serialization round-trips bit
+    for bit: every norm must already be within 1e-6 of 1.
     """
 
     timestamp: float
@@ -80,21 +114,37 @@ class HandFrame:
     orientations: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64)
-        ori = np.array(self.orientations, dtype=np.float64)
-        if pos.shape != (NUM_JOINTS, 3) or ori.shape != (NUM_JOINTS, 4):
-            raise ValueError(
-                f"expected ({NUM_JOINTS}, 3) positions and ({NUM_JOINTS}, 4) orientations, "
-                f"got {pos.shape} and {ori.shape}"
-            )
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(ori))):
-            raise ValueError("joint positions and orientations must be finite")
-        if np.any(np.abs(np.linalg.norm(ori, axis=1) - 1.0) > 1e-6):
-            raise ValueError("orientations must be unit quaternions (|norm - 1| <= 1e-6)")
-        pos.flags.writeable = False
-        ori.flags.writeable = False
+        ts = np.array([self.timestamp], dtype=np.float64)
+        pos = _read_only_copy(self.positions)
+        ori = _read_only_copy(self.orientations)
+        _check_frames(ts, self.handedness, pos[None], ori[None])
+        object.__setattr__(self, "timestamp", float(ts[0]))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "orientations", ori)
+
+
+def frames_from_arrays(timestamps, handedness: Handedness, positions, orientations) -> list[HandFrame]:
+    """One hand's timeline as HandFrames, from (n,) timestamps and stacked
+    (n, 11, 3) positions and (n, 11, 4) orientations.
+
+    Makes one read-only float64 copy of each array and checks the whole
+    timeline in one pass, under the same rules and messages as a HandFrame
+    built alone. Each frame holds read-only row views of those copies, so
+    its values equal per-frame construction bit for bit.
+    """
+    ts = _read_only_copy(timestamps)
+    pos = _read_only_copy(positions)
+    ori = _read_only_copy(orientations)
+    _check_frames(ts, handedness, pos, ori)
+    frames = []
+    for t, p, o in zip(ts.tolist(), pos, ori):
+        frame = object.__new__(HandFrame)  # already checked: skip __post_init__
+        object.__setattr__(frame, "timestamp", t)
+        object.__setattr__(frame, "handedness", handedness)
+        object.__setattr__(frame, "positions", p)
+        object.__setattr__(frame, "orientations", o)
+        frames.append(frame)
+    return frames
 
 
 def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.ndarray:
@@ -103,15 +153,21 @@ def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.
     rel_pos = inv(q_wrist) * (p_j - p_wrist), rel_quat = inv(q_wrist) * q_j
     with the quaternion sign canonicalized (w >= 0). The wrist row is
     written exactly rather than computed, so it is bit-stable across inputs.
-    Accepts any number of leading frame axes; this is the hot path the
-    training pipeline uses to featurize whole clips in one call.
+    The quaternion products are written component by component straight
+    into the output. Accepts any number of leading frame axes; this is the
+    hot path the training pipeline uses to featurize whole clips in one
+    call, and the stream calls it on every pushed frame.
     """
     pos = np.asarray(positions, dtype=np.float64)
     ori = np.asarray(orientations, dtype=np.float64)
-    q_w = ori[..., WRIST, :]
-    inv_w = quat.conjugate(q_w)[..., None, :]
-    rel_pos = quat.rotate(inv_w, pos - pos[..., WRIST, :][..., None, :])
-    rel_quat = quat.sign_normalize(quat.multiply(inv_w, ori))
-    out = np.concatenate([rel_pos, rel_quat], axis=-1)
+    inv_w = quat.conjugate(ori[..., WRIST, None, :])
+    inv = (inv_w[..., 0], inv_w[..., 1], inv_w[..., 2], inv_w[..., 3])
+    rel = pos - pos[..., WRIST, None, :]
+    out = np.empty(pos.shape[:-1] + (7,))
+    out[..., 0], out[..., 1], out[..., 2] = quat.rotate_components(inv, (rel[..., 0], rel[..., 1], rel[..., 2]))
+    out[..., 3], out[..., 4], out[..., 5], out[..., 6] = quat.multiply_components(
+        inv, (ori[..., 0], ori[..., 1], ori[..., 2], ori[..., 3])
+    )
+    out[..., 3:] = quat.sign_normalize(out[..., 3:])
     out[..., WRIST, :] = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from microgext.skeleton import HandFrame, Handedness
+from microgext.skeleton import HandFrame, Handedness, frames_from_arrays
 from microgext.synth import LabeledClip, PoseParams, PoseTrack, SubjectParams, assemble_clip_arrays
 
 
@@ -30,10 +30,9 @@ def build_frame(
     return HandFrame(float(ts[0]), handedness, pos[0], ori[0])
 
 
-def clip_frames(clip: LabeledClip):
-    """The clip's frames in order, built one at a time."""
-    for t, pos, ori in zip(clip.timestamps, clip.joint_positions, clip.joint_orientations):
-        yield HandFrame(float(t), clip.handedness, pos, ori)
+def clip_frames(clip: LabeledClip) -> list[HandFrame]:
+    """The clip's frames in order, built as compiled timelines are."""
+    return frames_from_arrays(clip.timestamps, clip.handedness, clip.joint_positions, clip.joint_orientations)
 
 
 def clips_equal(a: LabeledClip, b: LabeledClip) -> bool:

@@ -12,6 +12,7 @@ from microgext.skeleton import (
     HandFrame,
     Handedness,
     features_from_arrays,
+    frames_from_arrays,
 )
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -39,6 +40,14 @@ def random_frame(rng, t):
         ori[j] = q / np.linalg.norm(q)
         pos[j] = rng.normal(0, 0.1, 3)
     return HandFrame(t, Handedness.RIGHT, pos, ori)
+
+
+def random_timeline(rng, n, dtype=np.float64):
+    """(n,) timestamps with stacked (n, 11, 3) positions and (n, 11, 4) unit
+    quaternions, stored as ``dtype``."""
+    ori = rng.normal(size=(n, NUM_JOINTS, 4))
+    ori /= np.linalg.norm(ori, axis=-1, keepdims=True)
+    return np.arange(n) / 72.0, rng.normal(0, 0.1, (n, NUM_JOINTS, 3)).astype(dtype), ori.astype(dtype)
 
 
 class TestTypes:
@@ -69,9 +78,78 @@ class TestTypes:
         with pytest.raises(ValueError):
             frame.positions[INDEX_TIP] = 1.0
 
+    @pytest.mark.parametrize("timestamp", [np.nan, np.inf, -np.inf])
+    def test_hand_frame_rejects_nonfinite_timestamp(self, timestamp):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            HandFrame(timestamp, Handedness.RIGHT, np.zeros((NUM_JOINTS, 3)), ORIENTATIONS)
+
+    def test_hand_frame_rejects_handedness_not_an_enum(self):
+        with pytest.raises(ValueError, match="handedness must be a Handedness"):
+            HandFrame(0.0, "Right", np.zeros((NUM_JOINTS, 3)), ORIENTATIONS)
+
     def test_joint_names_fixed_order(self):
         assert JOINT_NAMES[0] == "Wrist"
         assert len(JOINT_NAMES) == 11
+
+
+class TestFramesFromArrays:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_per_frame_construction(self, dtype):
+        ts, pos, ori = random_timeline(np.random.default_rng(6), 30, dtype)
+        bulk = frames_from_arrays(ts, Handedness.LEFT, pos, ori)
+        assert len(bulk) == len(ts)
+        for frame, t, p, o in zip(bulk, ts, pos, ori):
+            alone = HandFrame(float(t), Handedness.LEFT, p, o)
+            assert type(frame.timestamp) is float and frame.timestamp == alone.timestamp
+            assert frame.handedness is alone.handedness
+            for got, want in ((frame.positions, alone.positions), (frame.orientations, alone.orientations)):
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+    def test_does_not_alias_inputs(self):
+        ts, pos, ori = random_timeline(np.random.default_rng(7), 5)
+        frames = frames_from_arrays(ts, Handedness.RIGHT, pos, ori)
+        want = [(f.timestamp, f.positions.copy(), f.orientations.copy()) for f in frames]
+        ts[:] = 9.0
+        pos[:] = 1.0
+        ori[:] = (0.0, 1.0, 0.0, 0.0)
+        for frame, (t, p, o) in zip(frames, want):
+            assert frame.timestamp == t
+            np.testing.assert_array_equal(frame.positions, p)
+            np.testing.assert_array_equal(frame.orientations, o)
+        with pytest.raises(ValueError):
+            frames[0].positions[INDEX_TIP] = 1.0
+
+    @pytest.mark.parametrize("fault", ["shape", "joint", "quaternion", "timestamp", "handedness"])
+    def test_bad_frame_raises_hand_frame_message(self, fault):
+        ts, pos, ori = random_timeline(np.random.default_rng(8), 6)
+        hand = Handedness.RIGHT
+        if fault == "shape":
+            pos, ori = pos[:, :10], ori[:, :10]
+        elif fault == "joint":
+            pos[3, INDEX_TIP, 1] = np.inf
+        elif fault == "quaternion":
+            ori[3, INDEX_TIP] = (1.0, 1.0, 0.0, 0.0)
+        elif fault == "timestamp":
+            ts[3] = np.nan
+        else:
+            hand = "Right"
+        with pytest.raises(ValueError) as alone:
+            HandFrame(float(ts[3]), hand, pos[3], ori[3])
+        with pytest.raises(ValueError) as bulk:
+            frames_from_arrays(ts, hand, pos, ori)
+        assert str(bulk.value) == str(alone.value)
+
+    def test_frame_counts_must_agree(self):
+        ts, pos, ori = random_timeline(np.random.default_rng(9), 4)
+        with pytest.raises(ValueError, match="timestamps for 4 positions"):
+            frames_from_arrays(ts[:3], Handedness.RIGHT, pos, ori)
+
+    def test_empty_timeline(self):
+        assert frames_from_arrays(
+            np.empty(0), Handedness.RIGHT, np.empty((0, NUM_JOINTS, 3)), np.empty((0, NUM_JOINTS, 4))
+        ) == []
 
 
 class TestExtractFeatures:

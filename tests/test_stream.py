@@ -112,6 +112,16 @@ class TestPushFrame:
         with pytest.raises(OutOfOrderFrame):
             rt.push_frame(frames[1])
 
+    def test_nan_timestamp_cannot_pass_order_guard(self):
+        # a NaN timestamp compares false both ways, so a NaN frame between
+        # 5 and 0 would let the frame at 0 past the order guard
+        rt = StreamRuntime(StubPredictor(lambda: confident(GestureClass.NULL)))
+        rt.push_frame(pose_frames("rest", 1, start_t=5.0)[0])
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            pose_frames("rest", 1, start_t=np.nan)
+        with pytest.raises(OutOfOrderFrame):
+            rt.push_frame(pose_frames("rest", 1, start_t=0.0)[0])
+
     def test_left_hand_rejected(self):
         rt = StreamRuntime(StubPredictor(lambda: confident(GestureClass.NULL)))
         frame = build_frame(POSES["rest"], 0.0, np.zeros(3), IDENTITY, CLEAN, None, Handedness.LEFT)
