@@ -3,6 +3,8 @@
 Right hand: fired gesture events map to editing commands. The Swipe event
 resolves to caret movement, or to range selection while selection mode is
 armed by a sustained pinch (thumb and index held together for two seconds).
+The pinch detector keeps a run length and the trailing window's timestamps
+and sorted frame gaps, so its cost per frame does not grow with the hold.
 Each fired swipe moves one unit at the current granularity; the runner
 supplies its direction from the trend of the whole swipe episode.
 
@@ -13,8 +15,9 @@ wrist roll sweeps a highlight across the four modes (45 degree sectors over
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from bisect import bisect_left, insort
+from collections import deque
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -31,9 +34,10 @@ from .skeleton import (
     WRIST,
     HandFrame,
 )
-from .synth import PINCH_CONTACT_M, GestureClass
+from .synth import FRAME_RATE, PINCH_CONTACT_M, GestureClass
 
 PINCH_HOLD_SECONDS = 2.0
+PINCH_WINDOW_FRAMES = int(FRAME_RATE * 2.5)  # the trailing window a hold is judged in: 180 frames
 FINGER_EXTENDED_M = 0.085  # fingertip-to-wrist distance thresholds
 FINGER_FOLDED_M = 0.070
 THUMB_EXTENDED_M = 0.080
@@ -81,29 +85,50 @@ def bind_event(event: GestureEvent, ctx: EditorContext, direction: int = 1) -> E
 # Pinch hold
 # ---------------------------------------------------------------------------
 
-def _in_contact(positions: np.ndarray):
-    """Thumb-index tip contact of one frame (J, 3) or of stacked frames (N, J, 3)."""
-    return np.linalg.norm(positions[..., THUMB_TIP, :] - positions[..., INDEX_TIP, :], axis=-1) < PINCH_CONTACT_M
+def _in_contact(positions: np.ndarray) -> bool:
+    """Thumb-index tip contact of one frame's (J, 3) positions."""
+    # with an axis, norm sums squares as it does for stacked frames; without
+    # one it takes a dot product, which may round differently
+    return bool(np.linalg.norm(positions[THUMB_TIP] - positions[INDEX_TIP], axis=-1) < PINCH_CONTACT_M)
 
 
-def detect_pinch_hold(frames: Sequence[HandFrame]) -> bool:
-    """True iff thumb and index tips are in continuous contact (< 1.5 cm)
-    over the trailing run of frames spanning at least 2 seconds.
+@dataclass(eq=False, slots=True)
+class PinchHoldDetector:
+    """What ``detect_pinch_hold`` keeps of the right-hand frames it has seen:
+    the length of the current contact run, the timestamps of the trailing
+    ``PINCH_WINDOW_FRAMES`` frames, and those frames' gaps in sorted order."""
 
-    The run must still be in contact at the newest frame; duration counts
-    whole frame periods (contact span plus one median frame gap), so 144
-    contact frames at 72 Hz qualify exactly.
+    run: int = 0
+    times: deque[float] = field(default_factory=lambda: deque(maxlen=PINCH_WINDOW_FRAMES))
+    gaps: list[float] = field(default_factory=list)
+
+
+def detect_pinch_hold(detector: PinchHoldDetector, frame: HandFrame) -> bool:
+    """Take in the newest right-hand frame; True iff thumb and index tips are
+    in continuous contact (< 1.5 cm) over the trailing run of frames spanning
+    at least 2 seconds.
+
+    The run must still be in contact at the newest frame and is clipped at
+    the oldest frame of the trailing window. Duration counts whole frame
+    periods (contact span plus the window's median frame gap), so 144
+    contact frames at 72 Hz qualify exactly. Each call costs the same
+    however long the hold has lasted.
     """
-    if len(frames) < 2 or not _in_contact(frames[-1].positions):
+    times, gaps = detector.times, detector.gaps
+    t = frame.timestamp
+    if times:
+        if len(times) == PINCH_WINDOW_FRAMES:
+            del gaps[bisect_left(gaps, times[1] - times[0])]
+        insort(gaps, t - times[-1])
+    times.append(t)
+    detector.run = detector.run + 1 if _in_contact(frame.positions) else 0
+    n = len(times)
+    if n < 2 or not detector.run:
         return False
-    ts = np.array([f.timestamp for f in frames])
-    contact = _in_contact(np.stack([f.positions for f in frames]))
-    run_start = len(frames) - 1
-    while run_start > 0 and contact[run_start - 1]:
-        run_start -= 1
-    dt = float(np.median(np.diff(ts)))
-    duration = (ts[-1] - ts[run_start]) + dt
-    return bool(duration >= PINCH_HOLD_SECONDS - 1e-9)
+    mid = len(gaps) // 2
+    dt = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+    duration = (t - times[n - min(detector.run, n)]) + dt
+    return duration >= PINCH_HOLD_SECONDS - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -31,6 +31,7 @@ from .fsm import FsmConfig, GestureEvent
 from .interaction import (
     EditorContext,
     ModeSwitchState,
+    PinchHoldDetector,
     GESTURE_COMMANDS,
     bind_event,
     detect_pinch_hold,
@@ -320,13 +321,14 @@ class _SwipeEpisode:
 
 def run_session(
     predictor,
-    frames: list[HandFrame],
+    frames: Iterable[HandFrame],
     cfg: FsmConfig | None = None,
     initial_text: str = "",
     granularity: Granularity = Granularity.CHARACTER,
     ctx: EditorContext | None = None,
 ) -> SessionResult:
-    """Replay a frame timeline through the full online pipeline.
+    """Replay a frame timeline, any iterable of frames, through the full
+    online pipeline. It holds no frame beyond the current one.
 
     Right-hand frames feed the pinch-hold detector and the FSM; left-hand
     frames feed the mode-switch machine. Non-swipe events bind immediately;
@@ -338,10 +340,10 @@ def run_session(
     mode_state = ModeSwitchState()
     doc = Document.create(initial_text, granularity)
     result = SessionResult()
-    recent_right: deque[HandFrame] = deque(maxlen=int(FRAME_RATE * 2.5))
+    pinch = PinchHoldDetector()
     armed_at_release = False
     episode: _SwipeEpisode | None = None
-    now = frames[0].timestamp if frames else 0.0
+    now = 0.0
 
     def flush_episode() -> None:
         nonlocal doc, episode
@@ -362,8 +364,7 @@ def run_session(
                 continue
 
             result.right_frames += 1
-            recent_right.append(frame)
-            pinching_now = detect_pinch_hold(recent_right)
+            pinching_now = detect_pinch_hold(pinch, frame)
             if pinching_now and not armed_at_release:
                 ctx.selection_armed = True
             armed_at_release = pinching_now

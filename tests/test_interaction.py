@@ -1,14 +1,21 @@
 """Gesture-to-command binding, pinch hold, and the left-hand mode menu."""
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from microgext.editor import CommandKind, Granularity
 from microgext.fsm import GestureEvent
 from microgext.interaction import (
+    PINCH_WINDOW_FRAMES,
     EditorContext,
     MenuPhase,
     ModeSwitchState,
+    PinchHoldDetector,
+    _in_contact,
     bind_event,
     detect_pinch_hold,
     is_spread_fingers,
@@ -17,10 +24,12 @@ from microgext.interaction import (
     roll_to_mode,
     wrist_roll,
 )
-from microgext.skeleton import Handedness
-from microgext.synth import POSES, GestureClass, SubjectParams
+from microgext.scenario import compile_scenario, default_scenario
+from microgext.skeleton import INDEX_TIP, THUMB_TIP, HandFrame, Handedness, frames_from_arrays
+from microgext.synth import PINCH_CONTACT_M, POSES, GestureClass, SubjectParams
 from microgext import quat
 
+from . import pinch_reference
 from .frames import build_frame
 
 CLEAN = SubjectParams(subject_id=0, pose_jitter_std=0.0)
@@ -74,26 +83,127 @@ def frames_with_contact(n_contact, n_total, rate=72.0):
     return frames
 
 
+def detector_decisions(frames):
+    """detect_pinch_hold's decision after each frame, fed one at a time."""
+    detector = PinchHoldDetector()
+    return [detect_pinch_hold(detector, f) for f in frames]
+
+
 class TestPinchHold:
     def test_two_seconds_of_contact(self):
-        frames = frames_with_contact(144, 180)
-        assert detect_pinch_hold(frames) is True
+        decisions = detector_decisions(frames_with_contact(144, 180))
+        assert decisions[-1] is True
+        assert decisions[-2] is False
 
     def test_short_contact_rejected(self):
         frames = frames_with_contact(137, 180)  # just over 1.9 s
-        assert detect_pinch_hold(frames) is False
+        assert detector_decisions(frames)[-1] is False
 
     def test_contact_then_release_rejected(self):
         frames = frames_with_contact(144, 180)
         frames += [build_frame(POSES["rest"], 180 / 72.0, np.zeros(3), IDENTITY, CLEAN, None)]
-        assert detect_pinch_hold(frames) is False
+        assert detector_decisions(frames)[-1] is False
 
     def test_intermittent_contact_rejected(self):
         frames = []
         for i in range(200):
             pose = POSES["pinch"] if i % 2 == 0 else POSES["rest"]
             frames.append(build_frame(pose, i / 72.0, np.zeros(3), IDENTITY, CLEAN, None))
-        assert detect_pinch_hold(frames) is False
+        assert detector_decisions(frames)[-1] is False
+
+    def test_matches_reference_on_default_scripts(self):
+        holding = 0
+        for seed in range(7, 15):
+            frames, _ = compile_scenario(default_scenario(seed))
+            right = [f for f in frames if f.handedness is Handedness.RIGHT]
+            want = pinch_reference.decisions(right)
+            assert detector_decisions(right) == want
+            holding += sum(want)
+        assert holding > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.integers(1, 220), st.sampled_from(["contact", "apart", "edge"])), min_size=1, max_size=3
+        ),
+        rate=st.sampled_from([72.0, 60.0, 90.0]),
+        jitter=st.sampled_from([0.0, 0.2, 0.9]),
+        breaks=st.lists(st.tuples(st.integers(0, 659), st.floats(0.05, 1.5)), max_size=3),
+        t0=st.floats(0.0, 1e4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(segments=[(36, "apart"), (150, "contact")], rate=72.0, jitter=0.0, breaks=[], t0=0.0, seed=0)
+    @example(segments=[(400, "contact")], rate=72.0, jitter=0.0, breaks=[], t0=0.0, seed=0)
+    def test_matches_reference_on_random_streams(self, segments, rate, jitter, breaks, t0, seed):
+        """Contact runs, some longer than the window, with tips near the
+        contact threshold, jittered timestamps and tracking gaps. The first
+        example is the exact 144-frame hold at 72 Hz."""
+        rng = np.random.default_rng(seed)
+        kinds = [kind for length, kind in segments for _ in range(length)]
+        n = len(kinds)
+        distance = {"contact": lambda: 0.005, "apart": lambda: 0.05, "edge": lambda: rng.uniform(0.0149, 0.0151)}
+        ts = (np.arange(n) + jitter * rng.uniform(-0.5, 0.5, n)) / rate
+        for at, seconds in breaks:
+            ts[at % n:] += seconds
+        frames = tip_stream(t0 + ts, [distance[k]() for k in kinds])
+        assert detector_decisions(frames) == pinch_reference.decisions(frames)
+
+    @pytest.mark.parametrize("lead,e,held", [(1, 1e-4, False), (1, 1e-10, True), (2, 1e-4, True)])
+    def test_median_gap_and_tolerance(self, lead, e, held):
+        """``lead`` apart frames 0.5 s apart, then 144 in contact, whose 143
+        gaps are 72 of 1/72 - e and 71 of 1/72 + e. One lead frame makes an
+        even gap count whose two middle gaps differ, so the median is their
+        mean and the hold lasts 2 s - e, which counts only within the 1e-9
+        tolerance. Two make an odd count whose median is 1/72 + e: 2 s."""
+        gaps = np.r_[[0.5] * lead, np.tile([1 / 72 - e, 1 / 72 + e], 72)[:-1]]
+        frames = tip_stream(np.cumsum(np.r_[0.0, gaps]), [0.05] * lead + [0.005] * 144)
+        decisions = detector_decisions(frames)
+        assert decisions == pinch_reference.decisions(frames)
+        assert decisions[-1] is held and not any(decisions[:-1])
+
+    def test_one_frame_contact_rounds_as_stacked_frames(self):
+        """Tips 1.5 cm apart in random directions, where rounding decides
+        contact: each frame alone is judged as the stacked reference judges it."""
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=(2000, 3))
+        offsets = u / np.linalg.norm(u, axis=-1, keepdims=True) * PINCH_CONTACT_M
+        positions = np.zeros((len(offsets), 11, 3))
+        positions[:, THUMB_TIP] = offsets
+        want = pinch_reference.in_contact(positions)
+        assert 0 < want.sum() < len(want)
+        assert [_in_contact(p) for p in positions] == want.tolist()
+
+    def test_state_stays_bounded(self):
+        n = 10_000
+        pinch = build_frame(POSES["pinch"], 0.0, np.zeros(3), IDENTITY, CLEAN, None)
+        frames = frames_from_arrays(
+            np.arange(n) / 72.0,
+            Handedness.RIGHT,
+            np.repeat(pinch.positions[None], n, axis=0),
+            np.repeat(pinch.orientations[None], n, axis=0),
+        )
+        detector = PinchHoldDetector()
+        decisions = [detect_pinch_hold(detector, f) for f in frames]
+        assert decisions.index(True) == 143 and all(decisions[143:])
+        assert len(detector.times) <= PINCH_WINDOW_FRAMES == 180
+        assert len(detector.gaps) <= 179
+        held = gc.get_referents(detector)
+        held += [x for h in held for x in gc.get_referents(h)]
+        assert not any(isinstance(x, HandFrame) for x in held)
+
+
+_REST = build_frame(POSES["rest"], 0.0, np.zeros(3), IDENTITY, CLEAN, None)
+_TIP_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
+def tip_stream(timestamps, distances):
+    """Right-hand rest frames whose thumb tip sits each frame's distance
+    from the index tip."""
+    n = len(timestamps)
+    positions = np.repeat(_REST.positions[None], n, axis=0)
+    positions[:, THUMB_TIP] = positions[:, INDEX_TIP] + np.asarray(distances)[:, None] * _TIP_AXIS
+    orientations = np.repeat(_REST.orientations[None], n, axis=0)
+    return frames_from_arrays(timestamps, Handedness.RIGHT, positions, orientations)
 
 
 def left_frame(pose_name: str, roll_rad: float, t=0.0):

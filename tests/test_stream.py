@@ -242,6 +242,20 @@ class TestIncrementalForward:
             fired += len(got)
         assert fired > 0
 
+    def test_a_generator_replays_as_the_list(self, tiny_trained, default_sessions):
+        params, _ = tiny_trained
+        frames, _ = default_sessions[0]
+        sc = scenario.default_scenario(7)
+        runs = [
+            scenario.run_session(params, source, cfg=sc.fsm_config(), initial_text=sc.initial_text,
+                                 granularity=sc.granularity, ctx=sc.context())
+            for source in (frames, (f for f in frames))
+        ]
+        assert runs[0].events
+        assert runs[1].events == runs[0].events
+        assert runs[1].commands == runs[0].commands
+        assert runs[1].final_document == runs[0].final_document
+
     def test_rejects_wrong_feature_shape(self):
         predictor = ModelPredictor(network.init_params(network.HyperParams(hidden=8), seed=0))
         with pytest.raises(ShapeMismatch):
