@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from microgext.editor import CommandKind, Granularity
 from microgext.fsm import GestureEvent
 from microgext.interaction import (
-    PINCH_WINDOW_FRAMES,
     EditorContext,
     MenuPhase,
     ModeSwitchState,
@@ -87,6 +86,20 @@ def detector_decisions(frames):
     """detect_pinch_hold's decision after each frame, fed one at a time."""
     detector = PinchHoldDetector()
     return [detect_pinch_hold(detector, f) for f in frames]
+
+
+_REST = build_frame(POSES["rest"], 0.0, np.zeros(3), IDENTITY, CLEAN, None)
+_TIP_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
+
+
+def tip_stream(timestamps, distances):
+    """Right-hand rest frames whose thumb tip sits each frame's distance
+    from the index tip."""
+    n = len(timestamps)
+    positions = np.repeat(_REST.positions[None], n, axis=0)
+    positions[:, THUMB_TIP] = positions[:, INDEX_TIP] + np.asarray(distances)[:, None] * _TIP_AXIS
+    orientations = np.repeat(_REST.orientations[None], n, axis=0)
+    return frames_from_arrays(timestamps, Handedness.RIGHT, positions, orientations)
 
 
 class TestPinchHold:
@@ -175,35 +188,15 @@ class TestPinchHold:
 
     def test_state_stays_bounded(self):
         n = 10_000
-        pinch = build_frame(POSES["pinch"], 0.0, np.zeros(3), IDENTITY, CLEAN, None)
-        frames = frames_from_arrays(
-            np.arange(n) / 72.0,
-            Handedness.RIGHT,
-            np.repeat(pinch.positions[None], n, axis=0),
-            np.repeat(pinch.orientations[None], n, axis=0),
-        )
+        frames = tip_stream(np.arange(n) / 72.0, [0.005] * n)
         detector = PinchHoldDetector()
         decisions = [detect_pinch_hold(detector, f) for f in frames]
         assert decisions.index(True) == 143 and all(decisions[143:])
-        assert len(detector.times) <= PINCH_WINDOW_FRAMES == 180
+        assert len(detector.times) <= 180
         assert len(detector.gaps) <= 179
         held = gc.get_referents(detector)
         held += [x for h in held for x in gc.get_referents(h)]
         assert not any(isinstance(x, HandFrame) for x in held)
-
-
-_REST = build_frame(POSES["rest"], 0.0, np.zeros(3), IDENTITY, CLEAN, None)
-_TIP_AXIS = np.array([1.0, 2.0, 2.0]) / 3.0
-
-
-def tip_stream(timestamps, distances):
-    """Right-hand rest frames whose thumb tip sits each frame's distance
-    from the index tip."""
-    n = len(timestamps)
-    positions = np.repeat(_REST.positions[None], n, axis=0)
-    positions[:, THUMB_TIP] = positions[:, INDEX_TIP] + np.asarray(distances)[:, None] * _TIP_AXIS
-    orientations = np.repeat(_REST.orientations[None], n, axis=0)
-    return frames_from_arrays(timestamps, Handedness.RIGHT, positions, orientations)
 
 
 def left_frame(pose_name: str, roll_rad: float, t=0.0):
