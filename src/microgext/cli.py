@@ -36,11 +36,17 @@ _FSM_FIELDS = set(FsmConfig.__dataclass_fields__)
 
 def _load_config(path, fields: set[str]) -> dict:
     """The --config file's keys, which must all be among the command's
-    ``fields``; an empty dict without a file."""
+    ``fields``; an empty dict without a file. A file that is not a JSON
+    object is a usage error."""
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise click.UsageError(f"{path}: not a JSON file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise click.UsageError(f"{path}: a config must be a JSON object, got a JSON {type(raw).__name__}")
     unused = set(raw) - fields
     if unused:
         raise click.UsageError(f"{path}: config keys this command does not use: {sorted(unused)}")
@@ -189,7 +195,6 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
     if (session_path is None) == (script_path is None):
         raise click.UsageError("provide exactly one of --session or --script")
     fsm_kwargs = _load_config(config_path, _FSM_FIELDS)
-    out_dir = _prepare_out(out, config_path)
     params = _read(session_io.load_checkpoint, ckpt_path)
 
     if script_path is not None:
@@ -210,6 +215,7 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
         cfg = replace(base_cfg, **fsm_kwargs)
     except ValueError as exc:
         raise click.UsageError(f"{config_path}: {exc}") from exc
+    out_dir = _prepare_out(out, config_path)
 
     ctx = sc.context() if script_path is not None else None
     result = scenario_mod.run_session(params, frames, cfg, initial_text, granularity, ctx=ctx)

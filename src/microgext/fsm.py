@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .network import check_number_fields
 from .synth import CLASS_NAMES, GestureClass
 
 NULL_INDEX = CLASS_NAMES.index(GestureClass.NULL.value)
@@ -48,6 +49,7 @@ class FsmConfig:
     refractory: int = 20
 
     def __post_init__(self):
+        check_number_fields(self)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         if self.n_consecutive < 1:

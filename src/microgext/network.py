@@ -73,6 +73,18 @@ class NonFiniteActivation(FloatingPointError):
     pass
 
 
+def check_number_fields(obj) -> None:
+    """Raise ValueError unless each field of the dataclass ``obj`` is a
+    finite number of its annotated type: an int for "int", an int or a float
+    for "float", never a bool."""
+    for f in fields(obj):  # f.type is the annotation as a string ("int" or "float")
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     hidden: int = 256
@@ -81,12 +93,7 @@ class HyperParams:
     master_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation as a string ("int" or "float")
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_number_fields(self)
         for name in ("hidden", "learning_rate", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -7,8 +7,8 @@ single vectorized calls. The Hamilton product and the rotation are written
 once, in component form: ``multiply_components`` and ``rotate_components``
 take a quaternion as its four component arrays (or a (4, ...) array, whose
 rows are the components), which is how synthesis calls them on contiguous
-per-component planes; ``multiply`` and ``rotate`` unpack their last axis
-into that form and stack the result back.
+per-component planes; ``rotate`` unpacks its last axis into that form and
+stacks the result back.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ def multiply_components(a, b) -> tuple:
         aw * bx + ax * bw + ay * bz - az * by,
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.stack(
-        multiply_components((a[..., 0], a[..., 1], a[..., 2], a[..., 3]), (b[..., 0], b[..., 1], b[..., 2], b[..., 3])),
-        axis=-1,
     )
 
 

@@ -45,10 +45,10 @@ from .synth import (
     STATIC_POSE_BY_GESTURE,
     GestureClass,
     PoseParams,
-    PoseTrack,
     SubjectParams,
     _smoothstep,
     assemble_clip_arrays,
+    pose_row,
     stable_hash,
 )
 
@@ -171,6 +171,18 @@ def _smooth(n: int) -> np.ndarray:
     return _smoothstep(np.linspace(0.0, 1.0, n))
 
 
+def _const(pose: PoseParams, n: int) -> np.ndarray:
+    """The pose held for n frames, as an (8, n) pose plane."""
+    return np.repeat(pose_row(pose)[:, None], n, axis=1)
+
+
+def _blend(a: PoseParams, b: PoseParams, n: int) -> np.ndarray:
+    """A smooth blend from pose a into pose b over n frames, as an (8, n)
+    pose plane."""
+    alphas = _smooth(n)
+    return (1.0 - alphas) * pose_row(a)[:, None] + alphas * pose_row(b)[:, None]
+
+
 def compile_scenario(sc: Scenario):
     """Build the merged frame timeline and the expected command sequence.
 
@@ -180,43 +192,27 @@ def compile_scenario(sc: Scenario):
     """
     _check(sc, "scenario")
     rest = POSES["rest"]
-    tracks: list[PoseTrack] = []
+    planes: list[np.ndarray] = []  # the right hand's (8, n) pose planes, in order
     left_segments = []  # (start frame, menu frames, spread frames, target mode)
     expected: list[EditCommand] = []
     selection_armed = False
-    n_total = 0
-
-    def extend(track: PoseTrack):
-        nonlocal n_total
-        tracks.append(track)
-        n_total += len(track.spread)
-
-    def extend_const(pose: PoseParams, n: int):
-        extend(PoseTrack.constant(pose, n))
-
-    def extend_blend(a: PoseParams, b: PoseParams, n: int):
-        extend(PoseTrack.blend(a, b, _smooth(n)))
 
     for step in sc.steps:
-        extend_const(rest, _frames(step.pre_rest))
+        planes.append(_const(rest, _frames(step.pre_rest)))
         if step.kind == "rest":
-            extend_const(rest, _frames(step.duration))
+            planes.append(_const(rest, _frames(step.duration)))
         elif step.kind == "gesture":
             pose = POSES[STATIC_POSE_BY_GESTURE[step.gesture]]
-            extend_blend(rest, pose, _frames(_BLEND_S))
-            extend_const(pose, _frames(step.hold))
-            extend_blend(pose, rest, _frames(_BLEND_S))
+            planes += [_blend(rest, pose, _frames(_BLEND_S)), _const(pose, _frames(step.hold)),
+                       _blend(pose, rest, _frames(_BLEND_S))]
             expected.append(EditCommand(GESTURE_COMMANDS[step.gesture]))
         elif step.kind == "swipe":
             start = replace(POSES["swipe"], thumb_u=step.u_from)
             end = replace(POSES["swipe"], thumb_u=step.u_to)
-            extend_blend(rest, start, _frames(_BLEND_S))
-            n_move = _frames(step.move_time)
-            base = PoseTrack.constant(start, n_move)
-            u = step.u_from + (step.u_to - step.u_from) * _smooth(n_move)
-            extend(PoseTrack(base.curls, base.spread, thumb_u=u, thumb_w=base.thumb_w))
-            extend_const(end, _frames(step.hold))
-            extend_blend(end, rest, _frames(_BLEND_S))
+            move = _const(start, _frames(step.move_time))
+            move[6] = step.u_from + (step.u_to - step.u_from) * _smooth(move.shape[1])
+            planes += [_blend(rest, start, _frames(_BLEND_S)), move, _const(end, _frames(step.hold)),
+                       _blend(end, rest, _frames(_BLEND_S))]
             delta = 1 if step.u_to >= step.u_from else -1
             if selection_armed:
                 expected.append(EditCommand.select_range(delta))
@@ -225,30 +221,28 @@ def compile_scenario(sc: Scenario):
                 expected.append(EditCommand.move_caret(delta))
         elif step.kind == "pinch_hold":
             pinch = POSES["pinch"]
-            extend_blend(rest, pinch, _frames(0.15))
-            extend_const(pinch, _frames(step.duration))
-            extend_blend(pinch, rest, _frames(0.15))
+            planes += [_blend(rest, pinch, _frames(0.15)), _const(pinch, _frames(step.duration)),
+                       _blend(pinch, rest, _frames(0.15))]
             selection_armed = True
         elif step.kind == "mode_switch":
             n_menu = _frames(0.5)
             n_spread = _frames(0.3)
-            left_segments.append((n_total, n_menu, n_spread, step.mode))
-            extend_const(rest, n_menu + n_spread)
+            left_segments.append((sum(p.shape[1] for p in planes), n_menu, n_spread, step.mode))
+            planes.append(_const(rest, n_menu + n_spread))
             expected.append(EditCommand.set_granularity(step.mode))
-    extend_const(rest, _frames(1.0))
-    return _assemble(sc, tracks, left_segments, expected)
+    planes.append(_const(rest, _frames(1.0)))
+    return _assemble(sc, np.concatenate(planes, axis=1), left_segments, expected)
 
 
-def _assemble(sc: Scenario, tracks, left_segments, expected):
+def _assemble(sc: Scenario, pose: np.ndarray, left_segments, expected):
     subject = sc.subject()
-    track = PoseTrack.concat(tracks)
-    n = len(track.spread)
+    n = pose.shape[1]
     t = np.arange(n) / FRAME_RATE
     rng = np.random.Generator(np.random.PCG64(stable_hash(sc.seed, "scenario-right")))
     wrist_pos = np.tile(_RIGHT_BASE, (n, 1))
     base_q = quat.from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.3)
     wrist_quat = np.tile(base_q, (n, 1))
-    ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
+    ts, pos, ori = assemble_clip_arrays(pose, t, wrist_pos, wrist_quat, subject, rng)
     right = frames_from_arrays(ts, Handedness.RIGHT, pos, ori)
 
     left: list[HandFrame] = []
@@ -256,12 +250,11 @@ def _assemble(sc: Scenario, tracks, left_segments, expected):
     for start_frame, n_menu, n_spread, mode in left_segments:
         target = np.radians(_SECTOR_CENTERS[mode])
         rolls = np.concatenate([target * _smooth(n_menu), np.full(n_spread, target)])
-        poses = [POSES["thumb_up"]] * n_menu + [POSES["spread_four"]] * n_spread
-        ltrack = PoseTrack.concat([PoseTrack.constant(p, 1) for p in poses])
+        lpose = np.concatenate([_const(POSES["thumb_up"], n_menu), _const(POSES["spread_four"], n_spread)], axis=1)
         lt = (start_frame + np.arange(n_menu + n_spread) + 0.5) / FRAME_RATE
         lq = np.stack([quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), r) for r in rolls])
         lpos = np.tile(_LEFT_BASE, (len(lt), 1))
-        lts, lp, lo = assemble_clip_arrays(ltrack, lt, lpos, lq, subject, lrng)
+        lts, lp, lo = assemble_clip_arrays(lpose, lt, lpos, lq, subject, lrng)
         left.extend(frames_from_arrays(lts, Handedness.LEFT, lp, lo))
 
     frames = sorted(right + left, key=lambda f: f.timestamp)
@@ -313,9 +306,16 @@ class _SwipeEpisode:
         return False
 
     def direction(self) -> int:
+        """-1 if u trends down over the episode, else 1. The least squares
+        slope of u over the samples i = 0..n-1 has the sign of
+        sum((2i - n + 1) (u_i - u_0)), twice the usual
+        sum((i - mean i) (u_i - mean u)) since the (2i - n + 1) sum to 0. A
+        constant u, an exactly flat trend, sums to exactly 0 and gives 1, as
+        do fewer than two samples."""
         if len(self.us) < 2:
             return 1
-        slope = np.polyfit(np.arange(len(self.us)), np.asarray(self.us), 1)[0]
+        us = np.asarray(self.us)
+        slope = np.dot(2.0 * np.arange(len(us)) - (len(us) - 1), us - us[0])
         return -1 if slope < 0 else 1
 
 

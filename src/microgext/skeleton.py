@@ -87,8 +87,9 @@ def _check_frames(timestamps: np.ndarray, handedness, positions: np.ndarray, ori
         raise ValueError("orientations must be unit quaternions (|norm - 1| <= 1e-6)")
 
 
-def _read_only_copy(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64)
+def _read_only_copy(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``."""
+    out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 

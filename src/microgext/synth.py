@@ -39,9 +39,10 @@ wrist placement and drift, jitter and wobble, local joints and
 orientations, the world transform, normalization and the float32 cast. The
 pass works on contiguous per-component planes, (3, ..., n) and
 (4, ..., n) with frames last. No element's arithmetic reads another
-frame's, so a clip's bytes do not depend on its chunk, and a single clip
-(``synth_clip``, ``synth_null``) or a scenario timeline
-(``assemble_clip_arrays``) takes the same path as a chunk of one.
+frame's, so a clip's bytes do not depend on its chunk. ``synth_clips``
+builds any list of clips this way, and ``make_dataset`` calls it once per
+chunk. A scenario timeline goes through ``assemble_clip_arrays``, which
+runs the same world transform on the timeline's (8, n) pose plane.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .skeleton import (
     NUM_JOINTS,
     THUMB_TIP,
     Handedness,
+    _read_only_copy,
 )
 
 FRAME_RATE = 72.0
@@ -96,10 +98,6 @@ class SubState(IntEnum):
     NOT_SWIPING = 4
 
 
-class NullNotSupportedHere(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SubjectParams:
     """Per-participant variation knobs for the generators."""
@@ -135,10 +133,10 @@ class LabeledClip:
     handedness: Handedness = Handedness.RIGHT
 
     def __post_init__(self):
-        ts = _freeze(self.timestamps, np.float64)
-        pos = _freeze(self.joint_positions, np.float32)
-        ori = _freeze(self.joint_orientations, np.float32)
-        sub = _freeze(self.substates, np.uint8)
+        ts = _read_only_copy(self.timestamps)
+        pos = _read_only_copy(self.joint_positions, np.float32)
+        ori = _read_only_copy(self.joint_orientations, np.float32)
+        sub = _read_only_copy(self.substates, np.uint8)
         n = len(ts)
         if pos.shape != (n, NUM_JOINTS, 3) or ori.shape != (n, NUM_JOINTS, 4) or sub.shape != (n,):
             raise ValueError("inconsistent clip array shapes")
@@ -149,13 +147,6 @@ class LabeledClip:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-def _freeze(a, dtype) -> np.ndarray:
-    """A read-only copy of ``a`` as ``dtype``."""
-    a = np.array(a, dtype=dtype)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -180,6 +171,12 @@ class PoseParams:
     spread: float = 1.0
     thumb_u: float = 0.0
     thumb_w: float = 0.0
+
+
+def pose_row(pose: PoseParams) -> np.ndarray:
+    """The pose as one row: five curls, spread, thumb_u, thumb_w. A pose
+    plane (8, n) holds one such row per frame, as a column."""
+    return np.array([*pose.curls, pose.spread, pose.thumb_u, pose.thumb_w])
 
 
 POSES: dict[str, PoseParams] = {
@@ -224,44 +221,6 @@ _BELOW_FRAC = 0.60
 _BELOW_RISE = 0.012
 _FLEX_AXES = np.cross(np.array([0.0, 1.0, 0.0]), _FINGER_DIRS)
 _FLEX_AXES /= np.linalg.norm(_FLEX_AXES, axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class PoseTrack:
-    """Per-frame pose parameter arrays for one clip segment."""
-
-    curls: np.ndarray  # (N, 5)
-    spread: np.ndarray  # (N,)
-    thumb_u: np.ndarray  # (N,)
-    thumb_w: np.ndarray  # (N,)
-
-    @staticmethod
-    def constant(pose: PoseParams, n: int) -> "PoseTrack":
-        return PoseTrack(
-            curls=np.tile(np.asarray(pose.curls), (n, 1)),
-            spread=np.full(n, pose.spread),
-            thumb_u=np.full(n, pose.thumb_u),
-            thumb_w=np.full(n, pose.thumb_w),
-        )
-
-    @staticmethod
-    def blend(a: PoseParams, b: PoseParams, alphas: np.ndarray) -> "PoseTrack":
-        al = np.asarray(alphas)[:, None]
-        return PoseTrack(
-            curls=(1.0 - al) * np.asarray(a.curls) + al * np.asarray(b.curls),
-            spread=(1.0 - alphas) * a.spread + alphas * b.spread,
-            thumb_u=(1.0 - alphas) * a.thumb_u + alphas * b.thumb_u,
-            thumb_w=(1.0 - alphas) * a.thumb_w + alphas * b.thumb_w,
-        )
-
-    @staticmethod
-    def concat(tracks: list["PoseTrack"]) -> "PoseTrack":
-        return PoseTrack(
-            curls=np.concatenate([t.curls for t in tracks]),
-            spread=np.concatenate([t.spread for t in tracks]),
-            thumb_u=np.concatenate([t.thumb_u for t in tracks]),
-            thumb_w=np.concatenate([t.thumb_w for t in tracks]),
-        )
 
 
 def _world_frames(pose, scale, wrist_pos, wrist_quat, jitter):
@@ -352,7 +311,7 @@ def _quantized(timestamps: np.ndarray) -> np.ndarray:
 
 
 def assemble_clip_arrays(
-    track: PoseTrack,
+    pose: np.ndarray,
     timestamps: np.ndarray,
     wrist_pos: np.ndarray,
     wrist_quat: np.ndarray,
@@ -363,12 +322,11 @@ def assemble_clip_arrays(
     float32-quantized: the timestamps as float64 values, the joint arrays as
     float32 arrays.
 
-    wrist_pos is (N, 3) and wrist_quat (N, 4); jitter is drawn and applied
-    when an rng is supplied (joint position noise plus a small wrist wobble).
+    pose is the (8, N) pose plane of ``_world_frames``, wrist_pos is (N, 3)
+    and wrist_quat (N, 4); jitter is drawn and applied when an rng is
+    supplied (joint position noise plus a small wrist wobble).
     """
-    n = len(timestamps)
-    jitter = _draw_jitter(rng, n, subject.pose_jitter_std)
-    pose = np.concatenate([track.curls.T, [track.spread, track.thumb_u, track.thumb_w]])
+    jitter = _draw_jitter(rng, len(timestamps), subject.pose_jitter_std)
     pos, ori = _world_frames(
         pose,
         subject.finger_length_scale,
@@ -585,28 +543,22 @@ def _build(draws: list[_Draws]) -> list[LabeledClip]:
     return out
 
 
-def synth_clip(gesture: GestureClass, subject: SubjectParams, seed: int) -> LabeledClip:
-    """Generate one labeled clip for a command gesture.
+def synth_clips(specs) -> list[LabeledClip]:
+    """The labeled clips of one or more (gesture, subject, seed) specs,
+    built in one pass.
 
-    Deterministic in (gesture, subject, seed). Null has its own generator.
-    Static clips blend from a varied rest pose into the gesture's pose after
-    a short lead-in. A swipe sweeps the thumb 0% -> 100% -> 0% along the
-    index segment over 5 s; it sits at the IndexTip (u = 0) during the
-    lead-in, so lead-in frames label as sub-state 0 rather than noise.
+    Each clip is deterministic in its own (gesture, subject, seed), whatever
+    the other specs are. A static command clip blends from a varied rest
+    pose into the gesture's pose after a short lead-in. A swipe sweeps the
+    thumb 0% -> 100% -> 0% along the index segment over 5 s; it sits at the
+    IndexTip (u = 0) during the lead-in, so lead-in frames label as
+    sub-state 0 rather than noise. A Null clip is 2 s of non-intentional
+    movement: 50% rest, 30% slow drift and 20% a brief incidental pinch.
+    The pinches stay under 10 frames of contact, below the online
+    recognizer's persistence window, which is exactly the false-positive
+    traffic it must reject.
     """
-    if gesture is GestureClass.NULL:
-        raise NullNotSupportedHere("use synth_null for the Null class")
-    return _build([_draw(gesture, subject, seed)])[0]
-
-
-def synth_null(subject: SubjectParams, seed: int) -> LabeledClip:
-    """2 s of non-intentional movement: rest, slow drift, or a brief pinch.
-
-    The mixture is 50% rest / 30% drift / 20% incidental pinch; pinches stay
-    under 10 frames of contact, below the online recognizer's persistence
-    window, which is exactly the false-positive traffic it must reject.
-    """
-    return _build([_draw(GestureClass.NULL, subject, seed)])[0]
+    return _build([_draw(*spec) for spec in specs])
 
 
 def label_substates(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:
@@ -676,5 +628,5 @@ def make_dataset(
 
     clips = []
     for i in range(0, len(specs), SYNTH_CLIPS):
-        clips += _build([_draw(*spec) for spec in specs[i : i + SYNTH_CLIPS]])
+        clips += synth_clips(specs[i : i + SYNTH_CLIPS])
     return Dataset(tuple(clips), master_seed=seed)

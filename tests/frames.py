@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from microgext.skeleton import HandFrame, Handedness, frames_from_arrays
-from microgext.synth import LabeledClip, PoseParams, PoseTrack, SubjectParams, assemble_clip_arrays
+from microgext.synth import LabeledClip, PoseParams, SubjectParams, assemble_clip_arrays, pose_row
 
 
 def build_frame(
@@ -18,9 +18,8 @@ def build_frame(
     handedness: Handedness = Handedness.RIGHT,
 ) -> HandFrame:
     """Assemble one world-space frame of a constant pose."""
-    track = PoseTrack.constant(params, 1)
     ts, pos, ori = assemble_clip_arrays(
-        track,
+        pose_row(params)[:, None],
         np.array([timestamp]),
         np.asarray(wrist_pos)[None, :],
         np.asarray(wrist_quat)[None, :],

@@ -4,18 +4,23 @@ Deliberately plain and separate from the production code in
 ``microgext.synth``, which splits synthesis into per-clip draws and one
 component-major pass per chunk of clips. Here each clip makes its draws and
 its math together on (..., 4) and (..., 3) arrays, and the quaternion
-product and rotation are written out on those arrays. It reads the pose
-constants, seeds and labels of the production module, so the two differ
-only in how they compute the same values; tests compare them bit for bit.
+product and rotation are written out on those arrays. Poses are held as a
+``Track`` of four per-frame arrays, not as the production (8, n) pose
+plane, and ``compile_scenario`` builds a script's tracks step by step. It
+reads the pose constants, seeds and labels of the production modules, so
+the two differ only in how they compute the same values; tests compare them
+bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from microgext import quat, scenario
+from microgext.editor import EditCommand
+from microgext.interaction import GESTURE_COMMANDS
 from microgext.skeleton import HandFrame, Handedness, NUM_JOINTS
 from microgext.synth import (
     _BELOW_FRAC,
@@ -38,13 +43,50 @@ from microgext.synth import (
     GestureClass,
     LabeledClip,
     PoseParams,
-    PoseTrack,
     SubjectParams,
     SubState,
     label_substates,
     stable_hash,
     subjects_for,
 )
+
+
+@dataclass(frozen=True)
+class Track:
+    """Per-frame pose parameter arrays for one timeline segment."""
+
+    curls: np.ndarray  # (N, 5)
+    spread: np.ndarray  # (N,)
+    thumb_u: np.ndarray  # (N,)
+    thumb_w: np.ndarray  # (N,)
+
+    @staticmethod
+    def constant(pose: PoseParams, n: int) -> "Track":
+        return Track(
+            curls=np.tile(np.asarray(pose.curls), (n, 1)),
+            spread=np.full(n, pose.spread),
+            thumb_u=np.full(n, pose.thumb_u),
+            thumb_w=np.full(n, pose.thumb_w),
+        )
+
+    @staticmethod
+    def blend(a: PoseParams, b: PoseParams, alphas: np.ndarray) -> "Track":
+        al = np.asarray(alphas)[:, None]
+        return Track(
+            curls=(1.0 - al) * np.asarray(a.curls) + al * np.asarray(b.curls),
+            spread=(1.0 - alphas) * a.spread + alphas * b.spread,
+            thumb_u=(1.0 - alphas) * a.thumb_u + alphas * b.thumb_u,
+            thumb_w=(1.0 - alphas) * a.thumb_w + alphas * b.thumb_w,
+        )
+
+    @staticmethod
+    def concat(tracks: list["Track"]) -> "Track":
+        return Track(
+            curls=np.concatenate([t.curls for t in tracks]),
+            spread=np.concatenate([t.spread for t in tracks]),
+            thumb_u=np.concatenate([t.thumb_u for t in tracks]),
+            thumb_w=np.concatenate([t.thumb_w for t in tracks]),
+        )
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,7 +125,7 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def local_joints(track: PoseTrack, length_scale: float = 1.0) -> np.ndarray:
+def local_joints(track: Track, length_scale: float = 1.0) -> np.ndarray:
     n = len(track.spread)
     dirs = np.broadcast_to(_FINGER_DIRS, (n, 5, 3)).copy()
     dirs[:, :, 0] *= track.spread[:, None]
@@ -109,7 +151,7 @@ def local_joints(track: PoseTrack, length_scale: float = 1.0) -> np.ndarray:
     return joints
 
 
-def local_orientations(track: PoseTrack) -> np.ndarray:
+def local_orientations(track: Track) -> np.ndarray:
     n = len(track.spread)
     out = np.zeros((n, NUM_JOINTS, 4))
     out[:, :, 0] = 1.0
@@ -187,7 +229,7 @@ def synth_clip(gesture: GestureClass, subject: SubjectParams, seed: int) -> Labe
     n_lead = 14
     n_trans = int(round(18.0 / subject.tempo_scale))
     alphas = _smoothstep((np.arange(n) - n_lead) / n_trans)
-    track = PoseTrack.blend(rest, target, alphas)
+    track = Track.blend(rest, target, alphas)
     wrist_pos, wrist_quat = _global_placement(rng, t)
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
     sub = label_substates(gesture, pos)
@@ -210,8 +252,8 @@ def _synth_swipe(subject, rng, rest) -> LabeledClip:
             np.maximum(0.0, 1.0 - (t - t_peak) / (t_end - t_peak)),
         ),
     )
-    track = PoseTrack.constant(base, n)
-    track = PoseTrack(track.curls, track.spread, thumb_u=u, thumb_w=track.thumb_w)
+    track = Track.constant(base, n)
+    track = Track(track.curls, track.spread, thumb_u=u, thumb_w=track.thumb_w)
     wrist_pos, wrist_quat = _global_placement(rng, t)
     ts, pos, ori = assemble_clip_arrays(track, t, wrist_pos, wrist_quat, subject, rng)
     sub = label_substates(GestureClass.SWIPE, pos)
@@ -244,9 +286,9 @@ def synth_null(subject: SubjectParams, seed: int) -> LabeledClip:
         alphas[rising] = _smoothstep((j[rising] + 1) / n_blend)
         alphas[holding] = 1.0
         alphas[falling] = 1.0 - _smoothstep((j[falling] - n_blend - n_hold + 1) / n_blend)
-        track = PoseTrack.blend(rest, pinch, alphas)
+        track = Track.blend(rest, pinch, alphas)
     else:
-        track = PoseTrack.constant(rest, n)
+        track = Track.constant(rest, n)
         if variant == "drift":
             amp = rng.uniform(0.01, 0.02)
             phase = rng.uniform(0, 2 * np.pi, 3)
@@ -274,11 +316,74 @@ def make_dataset(n_subjects: int = 10, reps_per_gesture: int = 20, null_reps: in
     return Dataset(tuple(clips), master_seed=seed)
 
 
-def assemble_scenario(sc, tracks, left_segments, expected):
-    """``scenario._assemble`` with this module's per-timeline assembly:
-    one call for the right hand, one per left-hand mode-switch segment."""
+def _frames(seconds: float) -> int:
+    return max(1, int(round(seconds * FRAME_RATE)))
+
+
+def compile_scenario(sc):
+    """``scenario.compile_scenario`` on Tracks: each step appends its
+    segments, then one assembly call for the right hand and one per
+    left-hand mode-switch segment."""
+    rest = POSES["rest"]
+    tracks = []
+    left_segments = []  # (start frame, menu frames, spread frames, target mode)
+    expected = []
+    selection_armed = False
+    n_total = 0
+
+    def extend(track):
+        nonlocal n_total
+        tracks.append(track)
+        n_total += len(track.spread)
+
+    def extend_const(pose, n):
+        extend(Track.constant(pose, n))
+
+    def extend_blend(a, b, n):
+        extend(Track.blend(a, b, _smooth(n)))
+
+    for step in sc.steps:
+        extend_const(rest, _frames(step.pre_rest))
+        if step.kind == "rest":
+            extend_const(rest, _frames(step.duration))
+        elif step.kind == "gesture":
+            pose = POSES[STATIC_POSE_BY_GESTURE[step.gesture]]
+            extend_blend(rest, pose, _frames(scenario._BLEND_S))
+            extend_const(pose, _frames(step.hold))
+            extend_blend(pose, rest, _frames(scenario._BLEND_S))
+            expected.append(EditCommand(GESTURE_COMMANDS[step.gesture]))
+        elif step.kind == "swipe":
+            start = replace(POSES["swipe"], thumb_u=step.u_from)
+            end = replace(POSES["swipe"], thumb_u=step.u_to)
+            extend_blend(rest, start, _frames(scenario._BLEND_S))
+            n_move = _frames(step.move_time)
+            base = Track.constant(start, n_move)
+            u = step.u_from + (step.u_to - step.u_from) * _smooth(n_move)
+            extend(Track(base.curls, base.spread, thumb_u=u, thumb_w=base.thumb_w))
+            extend_const(end, _frames(step.hold))
+            extend_blend(end, rest, _frames(scenario._BLEND_S))
+            delta = 1 if step.u_to >= step.u_from else -1
+            if selection_armed:
+                expected.append(EditCommand.select_range(delta))
+                selection_armed = False
+            else:
+                expected.append(EditCommand.move_caret(delta))
+        elif step.kind == "pinch_hold":
+            pinch = POSES["pinch"]
+            extend_blend(rest, pinch, _frames(0.15))
+            extend_const(pinch, _frames(step.duration))
+            extend_blend(pinch, rest, _frames(0.15))
+            selection_armed = True
+        elif step.kind == "mode_switch":
+            n_menu = _frames(0.5)
+            n_spread = _frames(0.3)
+            left_segments.append((n_total, n_menu, n_spread, step.mode))
+            extend_const(rest, n_menu + n_spread)
+            expected.append(EditCommand.set_granularity(step.mode))
+    extend_const(rest, _frames(1.0))
+
     subject = sc.subject()
-    track = PoseTrack.concat(tracks)
+    track = Track.concat(tracks)
     n = len(track.spread)
     t = np.arange(n) / FRAME_RATE
     rng = np.random.Generator(np.random.PCG64(stable_hash(sc.seed, "scenario-right")))
@@ -294,7 +399,7 @@ def assemble_scenario(sc, tracks, left_segments, expected):
         target = np.radians(scenario._SECTOR_CENTERS[mode])
         rolls = np.concatenate([target * _smooth(n_menu), np.full(n_spread, target)])
         poses = [POSES["thumb_up"]] * n_menu + [POSES["spread_four"]] * n_spread
-        ltrack = PoseTrack.concat([PoseTrack.constant(p, 1) for p in poses])
+        ltrack = Track.concat([Track.constant(p, 1) for p in poses])
         lt = (start_frame + np.arange(n_menu + n_spread) + 0.5) / FRAME_RATE
         lq = np.stack([quat.from_axis_angle(np.array([0.0, 0.0, 1.0]), r) for r in rolls])
         lpos = np.tile(scenario._LEFT_BASE, (len(lt), 1))

@@ -112,6 +112,9 @@ class TestStepSemantics:
             FsmConfig(delta=1.5)
         with pytest.raises(ValueError):
             FsmConfig(n_consecutive=0)
+        for field, value in (("refractory", "60"), ("refractory", 2.5), ("n_consecutive", True), ("delta", "0.9")):
+            with pytest.raises(ValueError, match=f"{field} must be (int|float), got"):
+                FsmConfig(**{field: value})
 
 
 def exhaustive_state_symbol_equivalence(cfg: FsmConfig, max_depth: int = 12) -> int:

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from microgext import session_io
 from microgext.cli import main
@@ -126,6 +128,9 @@ MALFORMED_SCRIPTS = {
     "missing_initial_text": {"steps": [{"kind": "rest"}]},
 }
 
+# --config files that are not a JSON object
+BAD_CONFIG_FILES = {"not_json": "refractory = 60", "not_an_object": '[["hidden", 16]]'}
+
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_SCRIPTS))
 def test_malformed_script_is_a_bad_scenario(tmp_path, name):
@@ -151,6 +156,24 @@ class TestSwipeEpisode:
         for u in samples:
             ep.observe(u)
         assert ep.direction() == 1
+
+    @pytest.mark.parametrize("samples", [(0.3,) * 31, (0.2, 0.6, 0.2), (0.1, 0.5, 0.5, 0.1)])
+    def test_an_exactly_flat_trend_points_forward(self, samples):
+        # np.polyfit reads these slopes as +-1e-17, with either sign
+        ep = self.episode()
+        for u in samples:
+            ep.observe(u)
+        assert ep.direction() == 1
+
+    @given(st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_direction_is_the_sign_of_the_least_squares_slope(self, samples):
+        slope = np.polyfit(np.arange(len(samples)), samples, 1)[0]
+        assume(abs(slope) > 1e-6)
+        ep = self.episode()
+        for u in samples:
+            ep.observe(u)
+        assert ep.direction() == (-1 if slope < 0 else 1)
 
     def test_ends_after_consecutive_misses(self):
         ep = self.episode()
@@ -379,15 +402,36 @@ class TestCli:
         assert "delta" in r.output and "hidden" not in r.output
         assert not (ds / "checkpoint.mgc").exists()
 
-    @pytest.mark.parametrize("config, key", [({"hidden": 999}, "hidden"), ({"delta": 1.5}, "delta")])
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIG_FILES))
+    def test_train_rejects_bad_config_files(self, tmp_path, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(BAD_CONFIG_FILES[name])
+        ds = tmp_path / "d"
+        CliRunner().invoke(main, ["synth", "--n-subjects", "1", "--reps", "1", "--null-reps", "1",
+                                  "--out", str(ds)])
+        r = CliRunner().invoke(main, ["train", "--dataset", str(ds / "dataset.mgd"),
+                                      "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "cfg.json" in r.output
+        assert not (tmp_path / "o").exists()
+
+    # a str is written as it is, as a config file that is not a JSON object
+    @pytest.mark.parametrize("config, key", [
+        ({"hidden": 999}, "hidden"),
+        ({"delta": 1.5}, "delta"),
+        ({"refractory": "60"}, "refractory"),
+        ({"refractory": 2.5}, "refractory"),
+        ({"n_consecutive": True}, "n_consecutive"),
+        *(pytest.param(text, "cfg.json", id=name) for name, text in BAD_CONFIG_FILES.items()),
+    ])
     def test_stream_rejects_training_keys_and_bad_fsm_values(self, tmp_path, ckpt_path, config, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--script", "default",
                                       "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert r.exit_code == 2, r.output
         assert key in r.output
-        assert not (tmp_path / "o" / "session.mgs").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_stream_config_overrides_only_the_fields_it_names(self, tmp_path, ckpt_path, monkeypatch):
         # {"delta": 0.95} is the default value: the run must keep the

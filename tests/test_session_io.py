@@ -473,7 +473,7 @@ def test_mutated_checkpoint_header_fails_typed(checkpoint_blob, fuzz_dir, field,
 class TestSession:
     def test_round_trip(self, tmp_path):
         subject = synth.subjects_for(0, 1)[0]
-        clip = synth.synth_clip(GestureClass.FIST, subject, seed=1)
+        clip = synth.synth_clips([(GestureClass.FIST, subject, 1)])[0]
         frames = list(clip_frames(clip))[:40]
         events = [
             GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99),
@@ -656,7 +656,7 @@ TEXT_READERS = st.sampled_from([read_session, read_command_log, read_report])
 def text_blobs(fuzz_dir):
     """Bytes of one small file per text format, by reader."""
     subject = synth.subjects_for(0, 1)[0]
-    frames = list(clip_frames(synth.synth_clip(GestureClass.FIST, subject, seed=1)))[:3]
+    frames = list(clip_frames(synth.synth_clips([(GestureClass.FIST, subject, 1)])[0]))[:3]
     write_session(fuzz_dir / "s.mgs", frames, [GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99)])
     write_command_log(fuzz_dir / "c.log", [
         (0.5, EditCommand.set_granularity(Granularity.WORD)),

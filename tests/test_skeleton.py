@@ -179,7 +179,7 @@ class TestExtractFeatures:
         trans = rng.normal(0, 0.5, 3)
         moved = []
         for f in frames:
-            ori = quat.multiply(rot, f.orientations)
+            ori = np.stack(quat.multiply_components(rot, f.orientations.T), axis=-1)
             ori /= np.linalg.norm(ori, axis=-1, keepdims=True)
             moved.append(HandFrame(f.timestamp, f.handedness, trans + quat.rotate(rot, f.positions), ori))
         transformed = featurize(moved)

@@ -11,17 +11,19 @@ from microgext.synth import (
     STATIC_FRAMES,
     SWIPE_FRAMES,
     GestureClass,
-    NullNotSupportedHere,
     SubjectParams,
     SubState,
     label_substates,
     make_dataset,
     subjects_for,
-    synth_clip,
-    synth_null,
+    synth_clips,
 )
 
 from .frames import clips_equal
+
+
+def one_clip(gesture, subject, seed):
+    return synth_clips([(gesture, subject, seed)])[0]
 
 
 def palm_center(positions):
@@ -31,47 +33,43 @@ def palm_center(positions):
 
 class TestDeterminism:
     def test_same_args_bit_identical(self, subject):
-        a = synth_clip(GestureClass.FIST, subject, seed=1)
-        b = synth_clip(GestureClass.FIST, subject, seed=1)
+        a = one_clip(GestureClass.FIST, subject, 1)
+        b = one_clip(GestureClass.FIST, subject, 1)
         assert clips_equal(a, b)
 
     def test_null_deterministic(self, subject):
-        assert clips_equal(synth_null(subject, 5), synth_null(subject, 5))
+        assert clips_equal(one_clip(GestureClass.NULL, subject, 5), one_clip(GestureClass.NULL, subject, 5))
 
     def test_different_seed_differs(self, subject):
-        a = synth_clip(GestureClass.FIST, subject, seed=1)
-        b = synth_clip(GestureClass.FIST, subject, seed=2)
+        a = one_clip(GestureClass.FIST, subject, 1)
+        b = one_clip(GestureClass.FIST, subject, 2)
         assert not clips_equal(a, b)
 
 
 class TestClipShapes:
     def test_static_frame_count_and_duration(self, subject):
         for gesture in (GestureClass.OPEN, GestureClass.PINKY):
-            clip = synth_clip(gesture, subject, seed=3)
+            clip = one_clip(gesture, subject, 3)
             assert len(clip) == STATIC_FRAMES == 144
             assert clip.duration == 2.0
             assert set(clip.substates.tolist()) == {int(SubState.NOT_SWIPING)}
 
     def test_swipe_frame_count_and_duration(self, subject):
-        clip = synth_clip(GestureClass.SWIPE, subject, seed=3)
+        clip = one_clip(GestureClass.SWIPE, subject, 3)
         assert len(clip) == SWIPE_FRAMES == 360
         assert clip.duration == 5.0
-
-    def test_null_rejected_in_synth_clip(self, subject):
-        with pytest.raises(NullNotSupportedHere):
-            synth_clip(GestureClass.NULL, subject, seed=0)
 
 
 class TestFloat32Storage:
     def test_clip_arrays_are_read_only_float32(self, subject):
-        for clip in (synth_clip(GestureClass.SWIPE, subject, seed=2), synth_null(subject, 3)):
+        for clip in (one_clip(GestureClass.SWIPE, subject, 2), one_clip(GestureClass.NULL, subject, 3)):
             for a in (clip.joint_positions, clip.joint_orientations):
                 assert a.dtype == np.float32 and not a.flags.writeable
             assert clip.timestamps.dtype == np.float64 and not clip.timestamps.flags.writeable
             assert clip.substates.dtype == np.uint8 and not clip.substates.flags.writeable
 
     def test_clip_owns_one_copy(self, subject):
-        clip = synth_clip(GestureClass.FIST, subject, seed=1)
+        clip = one_clip(GestureClass.FIST, subject, 1)
         pos = np.array(clip.joint_positions)
         copy = LabeledClip(clip.gesture, clip.subject_id, clip.timestamps, pos,
                            clip.joint_orientations, clip.substates, clip.duration)
@@ -81,7 +79,7 @@ class TestFloat32Storage:
         assert clips_equal(copy, clip)
 
     def test_features_equal_the_float64_upcast(self, subject):
-        clip = synth_clip(GestureClass.SWIPE, subject, seed=4)
+        clip = one_clip(GestureClass.SWIPE, subject, 4)
         pos64 = clip.joint_positions.astype(np.float64)
         ori64 = clip.joint_orientations.astype(np.float64)
         feats = features_from_arrays(clip.joint_positions, clip.joint_orientations)
@@ -104,7 +102,7 @@ class TestFloat32Storage:
 
     def test_stored_labels_are_those_of_the_stored_positions(self):
         for sub in subjects_for(3, 4):
-            clip = synth_clip(GestureClass.SWIPE, sub, seed=sub.subject_id)
+            clip = one_clip(GestureClass.SWIPE, sub, sub.subject_id)
             np.testing.assert_array_equal(clip.substates, label_substates(clip.gesture, clip.joint_positions))
 
 
@@ -113,8 +111,8 @@ class TestPoseGeometry:
         # distance oracle over generated frames, several subjects/seeds
         for sid, seed in ((0, 3), (1, 8), (2, 21)):
             subject = subjects_for(0, 3)[sid]
-            fist = synth_clip(GestureClass.FIST, subject, seed=seed)
-            open_ = synth_clip(GestureClass.OPEN, subject, seed=seed)
+            fist = one_clip(GestureClass.FIST, subject, seed)
+            open_ = one_clip(GestureClass.OPEN, subject, seed)
             hold = slice(60, 144)
             tips = [1, 3, 5, 7, 9]
             fist_d = np.array(
@@ -126,7 +124,7 @@ class TestPoseGeometry:
             assert np.all(open_d - fist_d >= 0.02), (sid, seed, open_d - fist_d)
 
     def test_swipe_thumb_sweeps_out_and_back(self, subject):
-        clip = synth_clip(GestureClass.SWIPE, subject, seed=4)
+        clip = one_clip(GestureClass.SWIPE, subject, 4)
         pos = clip.joint_positions
         seg = pos[:, INDEX_BELOW] - pos[:, INDEX_TIP]
         rel = pos[:, THUMB_TIP] - pos[:, INDEX_TIP]
@@ -144,7 +142,7 @@ class TestPoseGeometry:
         subject = subjects_for(0, 1)[0]
         rest_clips = []
         for seed in range(30):
-            clip = synth_null(subject, seed)
+            clip = one_clip(GestureClass.NULL, subject, seed)
             d = np.linalg.norm(
                 clip.joint_positions[:, THUMB_TIP] - clip.joint_positions[:, INDEX_TIP], axis=1
             )
@@ -158,7 +156,7 @@ class TestPoseGeometry:
         subject = subjects_for(0, 1)[0]
         found = 0
         for seed in range(40):
-            clip = synth_null(subject, seed)
+            clip = one_clip(GestureClass.NULL, subject, seed)
             d = np.linalg.norm(
                 clip.joint_positions[:, THUMB_TIP] - clip.joint_positions[:, INDEX_TIP], axis=1
             )
@@ -171,7 +169,7 @@ class TestPoseGeometry:
 
 class TestSubStateLabels:
     def test_non_swipe_all_four(self, subject):
-        clip = synth_clip(GestureClass.RING, subject, seed=5)
+        clip = one_clip(GestureClass.RING, subject, 5)
         assert np.all(label_substates(clip.gesture, clip.joint_positions) == 4)
 
     def test_bin_endpoints(self):
@@ -183,7 +181,7 @@ class TestSubStateLabels:
         # closed-form oracle: build an ideal linear 0 -> 100% -> 0 swipe by
         # placing the thumb exactly on the segment, no jitter
         clean = SubjectParams(subject_id=0, pose_jitter_std=0.0)
-        clip = synth_clip(GestureClass.SWIPE, clean, seed=6)
+        clip = one_clip(GestureClass.SWIPE, clean, 6)
         pos = np.array(clip.joint_positions, copy=True)
         u = np.concatenate([np.linspace(0, 1, 180), np.linspace(1, 0, 180)])
         seg = pos[:, INDEX_BELOW] - pos[:, INDEX_TIP]

@@ -1,9 +1,11 @@
-"""The chunked generator against the per-clip reference, bit for bit."""
+"""The chunked generator and the scenario compiler against the per-clip
+reference, bit for bit."""
 
 import numpy as np
 import pytest
 
 from microgext import scenario, synth
+from microgext.editor import Granularity
 from microgext.synth import COMMAND_GESTURES, GestureClass, SubjectParams, subjects_for
 
 from . import synth_reference
@@ -53,28 +55,36 @@ def test_clip_bytes_do_not_depend_on_the_chunk(monkeypatch, chunk):
 
 def test_synth_clip_matches_reference():
     subjects = [*subjects_for(5, 2), SubjectParams(subject_id=9, pose_jitter_std=0.0, tempo_scale=0.8)]
-    for subject in subjects:
-        for seed, gesture in enumerate(COMMAND_GESTURES):
-            got = synth.synth_clip(gesture, subject, seed)
-            assert clips_equal(got, synth_reference.synth_clip(gesture, subject, seed)), (gesture, subject)
+    specs = [(gesture, subject, seed) for subject in subjects for seed, gesture in enumerate(COMMAND_GESTURES)]
+    assert_same_clips(synth.synth_clips(specs), [synth_reference.synth_clip(*spec) for spec in specs])
 
 
 def test_synth_null_matches_reference():
     subjects = [*subjects_for(5, 2), SubjectParams(subject_id=9, pose_jitter_std=0.0)]
-    seen = set()
-    for subject in subjects:
-        for seed in range(12):
-            seen.add(synth_reference.null_variant(seed))
-            assert clips_equal(synth.synth_null(subject, seed), synth_reference.synth_null(subject, seed)), seed
-    assert seen == {"rest", "drift", "pinch"}
+    specs = [(GestureClass.NULL, subject, seed) for subject in subjects for seed in range(12)]
+    assert {synth_reference.null_variant(seed) for _, _, seed in specs} == {"rest", "drift", "pinch"}
+    assert_same_clips(synth.synth_clips(specs), [synth_reference.synth_null(s, seed) for _, s, seed in specs])
 
 
-@pytest.mark.parametrize("seed", [7, 23])
-def test_compile_scenario_matches_reference(monkeypatch, seed):
-    sc = scenario.default_scenario(seed)
+def every_step_kind() -> scenario.Scenario:
+    """A script with a rest, a gesture, a swipe up, a pinch hold, a swipe
+    down that selects, and a mode switch to each of the four modes."""
+    steps = [
+        scenario.ScenarioStep(kind="rest", duration=0.4),
+        scenario.ScenarioStep(kind="gesture", gesture=GestureClass.FIST, hold=0.3),
+        scenario.ScenarioStep(kind="swipe", u_from=0.1, u_to=0.7, move_time=0.4),
+        scenario.ScenarioStep(kind="pinch_hold", duration=2.1),
+        scenario.ScenarioStep(kind="swipe", u_from=0.7, u_to=0.1),
+        *(scenario.ScenarioStep(kind="mode_switch", mode=mode) for mode in Granularity),
+    ]
+    return scenario.Scenario(initial_text="One two. Three.", seed=5, steps=tuple(steps))
+
+
+@pytest.mark.parametrize("script", ["every_step_kind", 7, 8, 9, 10, 11, 12, 13, 14, 23])
+def test_compile_scenario_matches_reference(script):
+    sc = every_step_kind() if script == "every_step_kind" else scenario.default_scenario(script)
     frames, expected = scenario.compile_scenario(sc)
-    monkeypatch.setattr(scenario, "_assemble", synth_reference.assemble_scenario)
-    want_frames, want_expected = scenario.compile_scenario(sc)
+    want_frames, want_expected = synth_reference.compile_scenario(sc)
     assert expected == want_expected
     assert len(frames) == len(want_frames)
     for a, b in zip(frames, want_frames):
