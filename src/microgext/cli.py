@@ -8,8 +8,8 @@ a scripted scenario through the online recognizer and editor).
 Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
 separate timing file. A --config JSON file overrides training
-hyperparameters for train, and FSM fields over the script's own FSM
-settings for stream; each command rejects keys it does not use and echoes
+hyperparameters for train, and FSM fields over the script's or the
+recording's own FSM settings for stream; each command rejects keys it does not use and echoes
 the file into the output directory. Exit codes: 0 ok, 1 failed run
 assertion, 2 usage error (including an input file that its reader rejects,
 such as a malformed scenario script).
@@ -27,7 +27,6 @@ import click
 import numpy as np
 
 from . import calibration, evaluation, network, scenario as scenario_mod, session_io, synth, training
-from .editor import Granularity
 from .fsm import FsmConfig
 
 _HP_FIELDS = set(network.HyperParams.__dataclass_fields__)
@@ -175,9 +174,10 @@ def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, out):
 
     meta = {"fold_subject": fold_subject, "seed": seed, "n_test_clips": len(test_clips)}
     session_io.emit_report(report, out_dir / "report.mgr", meta=meta)
-    session_io.emit_report(report, out_dir / "report.txt", human=True)
+    table = evaluation.render_report(report)
+    (out_dir / "report.txt").write_text(table, encoding="utf-8")
     _write_timing(out_dir, {"eval_seconds": elapsed})
-    click.echo(evaluation.render_report(report))
+    click.echo(table)
     click.echo(f"wrote {out_dir / 'report.mgr'}")
 
 
@@ -198,18 +198,13 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
     params = _read(session_io.load_checkpoint, ckpt_path)
 
     if script_path is not None:
-        if script_path == "default":
-            sc = scenario_mod.default_scenario(seed)
-        else:
-            sc = _read(scenario_mod.load_scenario, script_path)
+        sc = (scenario_mod.default_scenario(seed) if script_path == "default"
+              else _read(scenario_mod.load_scenario, script_path))
         frames, expected = scenario_mod.compile_scenario(sc)
-        initial_text, granularity = sc.initial_text, sc.granularity
-        base_cfg = sc.fsm_config()
+        base_cfg, initial_text, granularity = sc.fsm_config(), sc.initial_text, sc.granularity
     else:
-        frames, _ = _read(session_io.read_session, session_path)
+        frames, base_cfg, initial_text, granularity = _read(session_io.read_session, session_path)
         expected = None
-        initial_text, granularity = "", Granularity.CHARACTER
-        base_cfg = FsmConfig()
     # the config overrides only the fields it names
     try:
         cfg = replace(base_cfg, **fsm_kwargs)
@@ -217,10 +212,9 @@ def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
         raise click.UsageError(f"{config_path}: {exc}") from exc
     out_dir = _prepare_out(out, config_path)
 
-    ctx = sc.context() if script_path is not None else None
-    result = scenario_mod.run_session(params, frames, cfg, initial_text, granularity, ctx=ctx)
+    result = scenario_mod.run_session(params, frames, cfg, initial_text, granularity)
 
-    session_io.write_session(out_dir / "session.mgs", frames, result.events)
+    session_io.write_session(out_dir / "session.mgs", frames, cfg, initial_text, granularity)
     session_io.write_command_log(out_dir / "commands.log", result.command_log())
     (out_dir / "final_document.txt").write_text(
         result.final_document.text if result.final_document else "", encoding="utf-8"

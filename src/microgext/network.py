@@ -73,13 +73,16 @@ class NonFiniteActivation(FloatingPointError):
     pass
 
 
+def is_number(value, annotation: str) -> bool:
+    """An int for the annotation "int", an int or a float for "float", never a bool."""
+    return not isinstance(value, bool) and isinstance(value, int if annotation == "int" else (int, float))
+
+
 def check_number_fields(obj) -> None:
-    """Raise ValueError unless each field of the dataclass ``obj`` is a
-    finite number of its annotated type: an int for "int", an int or a float
-    for "float", never a bool."""
+    """Raise ValueError unless each field of the dataclass ``obj`` is a finite ``is_number``."""
     for f in fields(obj):  # f.type is the annotation as a string ("int" or "float")
         value = getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, int if f.type == "int" else (int, float)):
+        if not is_number(value, f.type):
             raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value!r}")

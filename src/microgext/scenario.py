@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 
@@ -37,6 +36,7 @@ from .interaction import (
     detect_pinch_hold,
     mode_switch_step,
 )
+from .network import is_number
 from .skeleton import HandFrame, Handedness, frames_from_arrays
 from .stream import LatencyHistogram, StreamRuntime, inference_thread_cap, latency_percentiles
 from .synth import (
@@ -107,17 +107,17 @@ class UnknownScenarioKey(BadScenario):
 
 
 _STEP_KINDS = ("rest", "gesture", "swipe", "pinch_hold", "mode_switch")
-_FIELD_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
 
 def _check(obj, where: str) -> None:
-    """Scalar fields must have their annotated type, numbers must be finite
-    and not negative, and each step must be a kind that compiles."""
+    """Scalar fields must have their annotated type (numbers by the rule of
+    ``network.is_number``), numbers must be finite and not negative, and
+    each step must be a kind that compiles."""
     for f in fields(obj):
-        value, want = getattr(obj, f.name), _FIELD_TYPES.get(f.type)
-        if want is not None and (isinstance(value, bool) or not isinstance(value, want)):
+        value, number = getattr(obj, f.name), f.type in ("int", "float")
+        if (f.type == "str" and not isinstance(value, str)) or (number and not is_number(value, f.type)):
             raise BadScenario(f"{where}: {f.name} must be {f.type}, got {value!r}")
-        if want in (numbers.Integral, numbers.Real) and not (math.isfinite(value) and value >= 0):
+        if number and not (math.isfinite(value) and value >= 0):
             raise BadScenario(f"{where}: {f.name} must be finite and not negative, got {value!r}")
     if isinstance(obj, Scenario):
         for i, step in enumerate(obj.steps):

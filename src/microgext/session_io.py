@@ -24,15 +24,15 @@ from dataclasses import asdict
 import numpy as np
 
 from .editor import CommandKind, EditCommand, Granularity
-from .evaluation import EvalReport, render_report
-from .fsm import GestureEvent
+from .evaluation import EvalReport
+from .fsm import FsmConfig
 from .network import HyperParams, ModelParams
 from .skeleton import JOINT_NAMES, NUM_JOINTS, HandFrame, Handedness
 from .synth import CLASS_NAMES, FRAME_RATE, Dataset, GestureClass, LabeledClip, SubState
 
 MGD_MAGIC = b"MGD1"
 MGC_MAGIC = b"MGC1"
-MGS_VERSION = 2
+MGS_VERSION = 3
 MGL_VERSION = 1
 MGR_VERSION = 1
 MGD_VERSION = 1
@@ -65,6 +65,17 @@ def _write_json_block(fh, obj) -> None:
     fh.write(blob)
 
 
+def _json_object(blob: bytes, what: str) -> dict:
+    """``blob`` decoded as a UTF-8 JSON object; anything else raises CorruptRecord."""
+    try:
+        obj = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptRecord(f"undecodable {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CorruptRecord(f"{what} is not a JSON object")
+    return obj
+
+
 def _read_json_block(fh) -> dict:
     raw = fh.read(4)
     if len(raw) != 4:
@@ -73,13 +84,7 @@ def _read_json_block(fh) -> dict:
     blob = fh.read(n)
     if len(blob) != n:
         raise CorruptRecord("truncated header block")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
-        raise CorruptRecord(f"undecodable header block: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CorruptRecord("header block is not a JSON object")
-    return header
+    return _json_object(blob, "header block")
 
 
 @contextlib.contextmanager
@@ -269,20 +274,25 @@ def _f32s(values) -> str:
     return " ".join(repr(float(np.float32(v))) for v in np.asarray(values).reshape(-1))
 
 
-def write_session(path, frames: list[HandFrame], events: list[GestureEvent]) -> None:
-    """Line-delimited recording: F lines are frames (timestamp, hand,
-    11 x 7 floats), E lines are fired events."""
+def write_session(path, frames: list[HandFrame], cfg: FsmConfig, initial_text: str,
+                  granularity: Granularity) -> None:
+    """Line-delimited recording of a run's inputs: a JSON header with the FSM
+    settings, the initial text and the granularity, then F lines, the frames
+    (timestamp, hand, 11 x 7 floats)."""
+    header = {
+        "format_version": MGS_VERSION,
+        "joint_order": list(JOINT_NAMES),
+        "class_names": list(CLASS_NAMES),
+        "fsm": asdict(cfg),
+        "initial_text": initial_text,
+        "granularity": granularity.value,
+    }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"MGS{MGS_VERSION} joints={','.join(JOINT_NAMES)}\n")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         for frame in frames:
             hand = "R" if frame.handedness is Handedness.RIGHT else "L"
             pose = np.concatenate([frame.positions, frame.orientations], axis=1)
             fh.write(f"F {repr(float(np.float32(frame.timestamp)))} {hand} {_f32s(pose)}\n")
-        for ev in events:
-            fh.write(
-                f"E {repr(float(np.float32(ev.fired_at)))} {ev.gesture.value} "
-                f"{repr(float(np.float32(ev.mean_confidence)))}\n"
-            )
 
 
 def _finite(text: str, field: str) -> float:
@@ -292,52 +302,48 @@ def _finite(text: str, field: str) -> float:
     return value
 
 
-def read_session(path) -> tuple[list[HandFrame], list[GestureEvent]]:
-    """Frames and events of a recording. Timestamps and confidences must be
-    finite, and each hand's frames must come in increasing time order."""
+def read_session(path) -> tuple[list[HandFrame], FsmConfig, str, Granularity]:
+    """The frames, FSM settings, initial text and granularity of a
+    recording. Timestamps must be finite, and each hand's frames must come
+    in increasing time order."""
     frames: list[HandFrame] = []
-    events: list[GestureEvent] = []
     last_ts: dict[Handedness, float] = {}
     with _open_text(path, "session") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(f"MGS{MGS_VERSION} "):
-            raise VersionMismatch(f"unsupported session header: {header!r}")
-        joints_decl = header.split("joints=", 1)[-1]
-        if joints_decl != ",".join(JOINT_NAMES):
-            raise JointOrderMismatch("session joint ordering does not match this build")
+        line = fh.readline()
+        if line.startswith("MGS"):  # the version 1 and 2 header line
+            raise VersionMismatch(f"unsupported session header: {line.strip()!r}")
+        header = _json_object(line.encode("utf-8"), "session header")
+        _check_header(header, "session", MGS_VERSION)
+        try:
+            cfg, granularity = FsmConfig(**header["fsm"]), Granularity(header["granularity"])
+            if asdict(cfg) != header["fsm"]:
+                raise ValueError(f"fsm {header['fsm']} does not name every FsmConfig field")
+            if not isinstance(initial_text := header["initial_text"], str):
+                raise TypeError(f"initial_text must be str, got {initial_text!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CorruptRecord(f"bad session header: {exc!r}") from exc
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             try:
-                if parts[0] == "F":
-                    ts = _finite(parts[1], "timestamp")
-                    if parts[2] not in ("R", "L"):
-                        raise CorruptRecord(f"frame record at line {lineno} has hand {parts[2]!r}, not R or L")
-                    hand = Handedness.RIGHT if parts[2] == "R" else Handedness.LEFT
-                    if ts <= last_ts.get(hand, -math.inf):
-                        raise CorruptRecord(f"{hand.value} frame at {ts} is not after the one at {last_ts[hand]}")
-                    last_ts[hand] = ts
-                    vals = np.array([float(v) for v in parts[3:]])
-                    if vals.size != NUM_JOINTS * 7:
-                        raise CorruptRecord(f"frame record at line {lineno} has {vals.size} floats")
-                    pose = vals.reshape(NUM_JOINTS, 7)
-                    frames.append(HandFrame(ts, hand, pose[:, :3], pose[:, 3:]))
-                elif parts[0] == "E":
-                    if len(parts) != 4:
-                        raise CorruptRecord(f"event record at line {lineno} has {len(parts)} fields, not 4")
-                    events.append(
-                        GestureEvent(
-                            gesture=GestureClass(parts[2]),
-                            fired_at=_finite(parts[1], "timestamp"),
-                            mean_confidence=_finite(parts[3], "confidence"),
-                        )
-                    )
-                else:
+                if parts[0] != "F":
                     raise CorruptRecord(f"unknown record type {parts[0]!r} at line {lineno}")
+                ts = _finite(parts[1], "timestamp")
+                if parts[2] not in ("R", "L"):
+                    raise CorruptRecord(f"frame record at line {lineno} has hand {parts[2]!r}, not R or L")
+                hand = Handedness.RIGHT if parts[2] == "R" else Handedness.LEFT
+                if ts <= last_ts.get(hand, -math.inf):
+                    raise CorruptRecord(f"{hand.value} frame at {ts} is not after the one at {last_ts[hand]}")
+                last_ts[hand] = ts
+                vals = np.array([float(v) for v in parts[3:]])
+                if vals.size != NUM_JOINTS * 7:
+                    raise CorruptRecord(f"frame record at line {lineno} has {vals.size} floats")
+                pose = vals.reshape(NUM_JOINTS, 7)
+                frames.append(HandFrame(ts, hand, pose[:, :3], pose[:, 3:]))
             except (ValueError, IndexError) as exc:
                 raise CorruptRecord(f"bad record at line {lineno}: {exc}") from exc
-    return frames, events
+    return frames, cfg, initial_text, granularity
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +411,8 @@ def report_payload(report: EvalReport, meta: dict) -> dict:
     }
 
 
-def emit_report(report: EvalReport, path, meta: dict | None = None, human: bool = False) -> None:
-    """Write a report: machine-readable canonical JSON, or a table."""
-    if human:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
-        return
+def emit_report(report: EvalReport, path, meta: dict | None = None) -> None:
+    """Write a report as machine-readable canonical JSON."""
     payload = report_payload(report, meta or {})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -418,13 +420,8 @@ def emit_report(report: EvalReport, path, meta: dict | None = None, human: bool 
 
 
 def read_report(path) -> dict:
-    with _open_text(path, "report") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptRecord(f"report is not JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CorruptRecord("report is not a JSON object")
+    with open(path, "rb") as fh:
+        payload = _json_object(fh.read(), "report")
     if payload.get("format_version") != MGR_VERSION:
         raise VersionMismatch(f"unsupported report version {payload.get('format_version')}")
     return payload

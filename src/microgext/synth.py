@@ -558,7 +558,8 @@ def synth_clips(specs) -> list[LabeledClip]:
     recognizer's persistence window, which is exactly the false-positive
     traffic it must reject.
     """
-    return _build([_draw(*spec) for spec in specs])
+    draws = [_draw(*spec) for spec in specs]
+    return _build(draws) if draws else []
 
 
 def label_substates(gesture: GestureClass, positions: np.ndarray) -> np.ndarray:

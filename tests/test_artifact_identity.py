@@ -39,8 +39,10 @@ def test_each_tree_streams_with_its_own_checkpoint(identity_tool, tmp_path):
     assert replay[replay.index("--session") + 1] == str(tmp_path / "stream-7" / "session.mgs")
     assert list(steps).index("replay") > list(steps).index("stream-7")
     assert set(identity_tool.commands(tmp_path, None)) == {"synth", "train", "eval"}
-    # 12 exit codes, 4 fold artifacts and 4 outputs of each of the 9 stream runs
-    assert len(steps) + len(identity_tool.artifacts(streams=True)) == 52
+    # 12 exit codes, 4 fold artifacts, 4 outputs of each of the 9 stream runs,
+    # and the change tree's 4 replay outputs against its own seed-7 run
+    n_within = len(identity_tool.STREAM_ARTIFACTS)
+    assert len(steps) + len(identity_tool.artifacts(streams=True)) + n_within == 56
 
 
 def test_differences_are_reported(identity_tool, tmp_path):
@@ -53,7 +55,15 @@ def test_differences_are_reported(identity_tool, tmp_path):
     (parent / "stream-9" / "events.json").unlink()
     (change / "stream-9" / "events.json").unlink()
     (change / "replay" / "commands.log").write_bytes(b"other bytes")
+    # both trees replay to the same events, but not to their own seed-7 run's
+    for side in (parent, change):
+        (side / "replay" / "events.json").write_bytes(b"doubled events")
     rows = dict(identity_tool.compare(parent, change, {"train": 0, "eval": 0}, {"train": 0, "eval": 2},
                                       streams=True))
+    assert len(rows) == 2 + len(identity_tool.artifacts(streams=True)) + 4
     differing = sorted(label for label, same in rows.items() if not same)
-    assert differing == ["checkpoint.mgc", "exit eval 0 2", "replay/commands.log", "stream-9/events.json"]
+    assert differing == [
+        "change replay/commands.log == stream-7/commands.log",
+        "change replay/events.json == stream-7/events.json",
+        "checkpoint.mgc", "exit eval 0 2", "replay/commands.log", "stream-9/events.json",
+    ]

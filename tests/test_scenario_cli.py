@@ -111,6 +111,11 @@ class TestScenarioCompile:
         with pytest.raises(UnknownScenarioKey, match="magnitude"):
             load_scenario(path)
 
+    def test_numpy_integer_field_rejected(self):
+        # the FSM settings accept only a Python int, so the scenario does too
+        with pytest.raises(BadScenario, match="fsm_refractory"):
+            compile_scenario(Scenario(initial_text="a", fsm_refractory=np.int64(60)))
+
     def test_unknown_step_kind_rejected(self):
         sc = Scenario(initial_text="", steps=(ScenarioStep(kind="dance"),))
         with pytest.raises(ValueError):
@@ -224,6 +229,9 @@ class TestRunSessionWithStub:
         # Delete without a selection surfaces as a recorded error, not a crash
         assert result.command_errors and "Delete" in result.command_errors[0]
         assert result.right_frames == n_right
+
+
+STREAM_OUTPUTS = ("session.mgs", "commands.log", "final_document.txt", "events.json")
 
 
 @pytest.fixture(scope="module")
@@ -351,20 +359,22 @@ class TestCli:
         assert "garbage.mgc" in r.output and "VersionMismatch" in r.output
 
     def test_stream_undecodable_session_is_a_usage_error(self, tmp_path, ckpt_path):
+        sc = default_scenario(7)
         bad = tmp_path / "latin1.mgs"
-        session_io.write_session(bad, [], [])
+        session_io.write_session(bad, compile_scenario(sc)[0][:5], sc.fsm_config(), sc.initial_text, sc.granularity)
         with open(bad, "ab") as fh:
-            fh.write(b"E 1.0 Swipe 0.97\xff\n")
+            fh.write(b"F 9.0 R\xff\n")
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(bad),
                                       "--out", str(tmp_path / "o")])
         assert r.exit_code == 2, r.output
         assert "latin1.mgs" in r.output and "CorruptRecord" in r.output
 
     def test_stream_session_going_back_in_time_is_a_usage_error(self, tmp_path, ckpt_path):
-        frames, _ = compile_scenario(default_scenario(7))
+        sc = default_scenario(7)
+        frames, _ = compile_scenario(sc)
         right = [f for f in frames if f.handedness is Handedness.RIGHT][:30]
         bad = tmp_path / "backward.mgs"
-        session_io.write_session(bad, right[:25] + [right[10]] + right[25:], [])
+        session_io.write_session(bad, right[:25] + [right[10]] + right[25:], sc.fsm_config(), "", Granularity.WORD)
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(bad),
                                       "--out", str(tmp_path / "o")])
         assert r.exit_code == 2, r.output
@@ -453,8 +463,39 @@ class TestCli:
         configured = CliRunner().invoke(main, [*base, "--config", str(cfg), "--out", str(tmp_path / "cfg")])
         assert cfgs == [default_scenario(7).fsm_config()] * 2
         assert configured.exit_code == plain.exit_code
-        for name in ("session.mgs", "commands.log", "final_document.txt", "events.json"):
+        for name in STREAM_OUTPUTS:
             assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+    def test_stream_replays_its_own_recording(self, tmp_path, ckpt_path):
+        # a recording carries the script's FSM settings, text and granularity,
+        # so for any model its replay writes the scripted run's four outputs
+        base = ["stream", "--checkpoint", str(ckpt_path)]
+        CliRunner().invoke(main, [*base, "--script", "default", "--seed", "8", "--out", str(tmp_path / "run")])
+        r = CliRunner().invoke(main, [*base, "--session", str(tmp_path / "run" / "session.mgs"),
+                                      "--out", str(tmp_path / "replay")])
+        assert r.exit_code == 0, r.output
+        for name in STREAM_OUTPUTS:
+            assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
+
+    def test_stream_records_the_config_override_it_replays_with(self, tmp_path, ckpt_path):
+        base = ["stream", "--checkpoint", str(ckpt_path)]
+        CliRunner().invoke(main, [*base, "--script", "default", "--out", str(tmp_path / "run")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refractory": 33}))
+        r = CliRunner().invoke(main, [*base, "--session", str(tmp_path / "run" / "session.mgs"),
+                                      "--config", str(cfg), "--out", str(tmp_path / "replay")])
+        assert r.exit_code == 0, r.output
+        sc = default_scenario(7)
+        _, fsm, text, granularity = session_io.read_session(tmp_path / "replay" / "session.mgs")
+        assert (fsm, text, granularity) == (replace(sc.fsm_config(), refractory=33), sc.initial_text, sc.granularity)
+
+    def test_stream_v2_session_is_a_usage_error(self, tmp_path, ckpt_path):
+        old = tmp_path / "old.mgs"
+        old.write_text("MGS2 joints=Wrist,ThumbTip\nE 1.0 Swipe 0.97\n")
+        r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(old),
+                                      "--out", str(tmp_path / "o")])
+        assert r.exit_code == 2, r.output
+        assert "old.mgs" in r.output and "VersionMismatch" in r.output
 
     @pytest.mark.parametrize("command", ["synth", "eval"])
     def test_config_option_rejected_where_unused(self, tmp_path, command):

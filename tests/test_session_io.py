@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from microgext import network, synth
 from microgext.editor import CommandKind, EditCommand, Granularity
-from microgext.evaluation import EvalReport
-from microgext.fsm import GestureEvent
+from microgext.evaluation import EvalReport, render_report
+from microgext.fsm import FsmConfig
 from microgext.network import NonFiniteActivation, ShapeMismatch
 from microgext.session_io import (
     ClassOrderMismatch,
@@ -470,38 +470,63 @@ def test_mutated_checkpoint_header_fails_typed(checkpoint_blob, fuzz_dir, field,
         pass
 
 
+# the run inputs of a recording whose header no test looks at
+RUN = (FsmConfig(), "", Granularity.CHARACTER)
+REST_POSE = " ".join(["0.0 0.0 0.0 1.0 0.0 0.0 0.0"] * NUM_JOINTS)
+
+
 class TestSession:
     def test_round_trip(self, tmp_path):
         subject = synth.subjects_for(0, 1)[0]
         clip = synth.synth_clips([(GestureClass.FIST, subject, 1)])[0]
         frames = list(clip_frames(clip))[:40]
-        events = [
-            GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99),
-            GestureEvent(GestureClass.SWIPE, fired_at=1.0, mean_confidence=0.97),
-        ]
+        cfg = FsmConfig(delta=0.9, n_consecutive=7, refractory=33)
         path = tmp_path / "s.mgs"
-        write_session(path, frames, events)
-        back_frames, back_events = read_session(path)
+        write_session(path, frames, cfg, "The text.\n\nTwo", Granularity.SENTENCE)
+        back_frames, back_cfg, text, granularity = read_session(path)
+        assert (back_cfg, text, granularity) == (cfg, "The text.\n\nTwo", Granularity.SENTENCE)
         assert len(back_frames) == len(frames)
         for a, b in zip(frames, back_frames):
             assert a.timestamp == b.timestamp
             assert a.handedness is b.handedness
             np.testing.assert_array_equal(a.positions, b.positions)
             np.testing.assert_array_equal(a.orientations, b.orientations)
-        assert [e.gesture for e in back_events] == [GestureClass.FIST, GestureClass.SWIPE]
 
-    def test_v2_events_round_trip(self, tmp_path):
-        # float32-exact values, so the text rendering loses nothing
-        events = [
-            GestureEvent(GestureClass.SWIPE, fired_at=2.5, mean_confidence=0.75),
-            GestureEvent(GestureClass.PINKY, fired_at=3.125, mean_confidence=1.0),
-        ]
+    def test_header_is_one_json_line_of_the_run_inputs(self, tmp_path):
         path = tmp_path / "s.mgs"
-        write_session(path, [], events)
+        write_session(path, [], FsmConfig(refractory=60), "a\nb", Granularity.WORD)
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("MGS2 ")
-        assert lines[1:] == ["E 2.5 Swipe 0.75", "E 3.125 Pinky 1.0"]
-        assert read_session(path) == ([], events)
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "format_version": 3,
+            "joint_order": list(JOINT_NAMES),
+            "class_names": list(CLASS_NAMES),
+            "fsm": {"delta": 0.95, "n_consecutive": 10, "refractory": 60},
+            "initial_text": "a\nb",
+            "granularity": "Word",
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(st.sampled_from("\n\r\x85\u2028 é") | st.characters()),
+        granularity=st.sampled_from(Granularity),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        n_consecutive=st.integers(1, 10**6),
+        refractory=st.integers(0, 10**6),
+    )
+    def test_header_round_trips(self, tmp_path_factory, text, granularity, delta, n_consecutive, refractory):
+        cfg = FsmConfig(delta=delta, n_consecutive=n_consecutive, refractory=refractory)
+        path = tmp_path_factory.mktemp("header") / "s.mgs"
+        write_session(path, [], cfg, text, granularity)
+        assert read_session(path) == ([], cfg, text, granularity)
+
+    def test_v2_file_rejected(self, tmp_path):
+        # a version 2 file starts with a plain-text header line and carries
+        # no run inputs
+        path = tmp_path / "s.mgs"
+        path.write_text("MGS2 joints=" + ",".join(JOINT_NAMES) + f"\nF 1.0 R {REST_POSE}\nE 1.0 Swipe 0.97\n")
+        with pytest.raises(VersionMismatch):
+            read_session(path)
 
     def test_v1_file_rejected(self, tmp_path):
         path = tmp_path / "s.mgs"
@@ -509,59 +534,90 @@ class TestSession:
         with pytest.raises(VersionMismatch):
             read_session(path)
 
-    def test_event_with_trace_column_rejected(self, tmp_path):
-        path = tmp_path / "s.mgs"
-        write_session(path, [], [])
-        with open(path, "a") as fh:
-            fh.write("E 1.0 Swipe 0.97 0,1,1\n")
-        with pytest.raises(CorruptRecord):
+    @pytest.mark.parametrize("record", ["E 1.0 Swipe 0.97", "E 1.0 Swipe 0.97 0,1,1"])
+    def test_event_record_rejected(self, tmp_path, record):
+        # events live in the run's events.json, not in the recording
+        path = self.recording(tmp_path / "s.mgs", [record])
+        with pytest.raises(CorruptRecord, match="unknown record type 'E'"):
             read_session(path)
 
     def test_corrupt_line_rejected(self, tmp_path):
-        path = tmp_path / "s.mgs"
-        write_session(path, [], [])
-        with open(path, "a") as fh:
-            fh.write("F 1.0 R 0.1 0.2\n")
+        path = self.recording(tmp_path / "s.mgs", ["F 1.0 R 0.1 0.2"])
         with pytest.raises(CorruptRecord):
             read_session(path)
 
     def test_non_unit_quaternion_rejected(self, tmp_path):
         pose = np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], (NUM_JOINTS, 1))
         pose[INDEX_TIP, 3:] = (1.0, 1.0, 0.0, 0.0)
-        path = tmp_path / "s.mgs"
-        write_session(path, [], [])
-        with open(path, "a") as fh:
-            fh.write("F 1.0 R " + " ".join(repr(float(v)) for v in pose.reshape(-1)) + "\n")
+        path = self.recording(tmp_path / "s.mgs", ["F 1.0 R " + " ".join(repr(float(v)) for v in pose.reshape(-1))])
         with pytest.raises(CorruptRecord, match="unit quaternion"):
             read_session(path)
 
     def test_unknown_hand_field_rejected(self, tmp_path):
-        pose = np.tile([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], (NUM_JOINTS, 1))
-        path = tmp_path / "s.mgs"
-        write_session(path, [], [])
-        with open(path, "a") as fh:
-            fh.write("F 1.0 X " + " ".join(repr(float(v)) for v in pose.reshape(-1)) + "\n")
+        path = self.recording(tmp_path / "s.mgs", [("1.0", "X")])
         with pytest.raises(CorruptRecord, match="hand 'X'"):
             read_session(path)
 
     @staticmethod
-    def recording(path, records):
-        """An empty recording followed by ``records``: (timestamp, hand) for a
-        frame at rest, or an already rendered line."""
-        rest = " ".join(["0.0 0.0 0.0 1.0 0.0 0.0 0.0"] * NUM_JOINTS)
-        write_session(path, [], [])
-        with open(path, "a") as fh:
-            for record in records:
-                fh.write(record + "\n" if isinstance(record, str) else f"F {record[0]} {record[1]} {rest}\n")
+    def recording(path, records, **header):
+        """A recording with no frames, whose header fields ``header``
+        replaces, followed by ``records``: (timestamp, hand) for a frame at
+        rest, or an already rendered line."""
+        write_session(path, [], *RUN)
+        head = dict(json.loads(path.read_text()), **header)
+        lines = [json.dumps(head)] + [
+            record if isinstance(record, str) else f"F {record[0]} {record[1]} {REST_POSE}" for record in records
+        ]
+        path.write_text("".join(line + "\n" for line in lines))
         return path
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("format_version", 2, VersionMismatch),
+        ("format_version", "3", VersionMismatch),
+        ("joint_order", list(reversed(JOINT_NAMES)), JointOrderMismatch),
+        ("class_names", list(reversed(CLASS_NAMES)), ClassOrderMismatch),
+        ("fsm", [0.95, 10, 20], CorruptRecord),
+        ("fsm", {"delta": 0.95, "n_consecutive": 10}, CorruptRecord),
+        ("fsm", {"delta": 1.5}, CorruptRecord),
+        ("fsm", {"refractory": "60"}, CorruptRecord),
+        ("fsm", {"refractory": 2.5}, CorruptRecord),
+        ("fsm", {"refractory": 10**400}, CorruptRecord),
+        ("fsm", {"n_consecutive": True}, CorruptRecord),
+        ("fsm", {"t_window": 20}, CorruptRecord),
+        ("initial_text", 5, CorruptRecord),
+        ("initial_text", None, CorruptRecord),
+        ("initial_text", ["a"], CorruptRecord),
+        ("granularity", "Line", CorruptRecord),
+        ("granularity", "character", CorruptRecord),
+        ("granularity", 0, CorruptRecord),
+        ("granularity", ["Word"], CorruptRecord),
+    ])
+    def test_bad_header_field_rejected(self, tmp_path, field, value, error):
+        path = self.recording(tmp_path / "s.mgs", [("0.5", "R")], **{field: value})
+        with pytest.raises(error):
+            read_session(path)
+
+    @pytest.mark.parametrize("field", ["fsm", "initial_text", "granularity", "format_version"])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        path = tmp_path / "s.mgs"
+        write_session(path, [], *RUN)
+        header = json.loads(path.read_text())
+        del header[field]
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(VersionMismatch if field == "format_version" else CorruptRecord):
+            read_session(path)
+
+    @pytest.mark.parametrize("first_line", ["", "\n", "{bad\n", "[1, 2]\n", "null\n"],
+                             ids=["empty", "blank", "not_json", "array", "null"])
+    def test_header_that_is_not_an_object_rejected(self, tmp_path, first_line):
+        path = tmp_path / "s.mgs"
+        path.write_text(first_line)
+        with pytest.raises(CorruptRecord, match="session header"):
+            read_session(path)
 
     @pytest.mark.parametrize("record, field", [
         (("nan", "R"), "timestamp"),
         (("inf", "L"), "timestamp"),
-        ("E nan Ring 0.97", "timestamp"),
-        ("E -inf Ring 0.97", "timestamp"),
-        ("E 1.0 Ring nan", "confidence"),
-        ("E 1.0 Ring inf", "confidence"),
     ])
     def test_non_finite_timestamp_or_confidence_rejected(self, tmp_path, record, field):
         path = self.recording(tmp_path / "s.mgs", [("0.5", "R"), record])
@@ -577,7 +633,7 @@ class TestSession:
     def test_hands_are_ordered_separately(self, tmp_path):
         # each hand's frames go forward; the merged stream may interleave them
         path = self.recording(tmp_path / "s.mgs", [("1.0", "R"), ("0.5", "L"), ("1.25", "R"), ("0.75", "L")])
-        frames, _ = read_session(path)
+        frames = read_session(path)[0]
         assert [(f.timestamp, f.handedness.value) for f in frames] == [
             (1.0, "Right"), (0.5, "Left"), (1.25, "Right"), (0.75, "Left"),
         ]
@@ -589,10 +645,9 @@ class TestSession:
             read_session(path)
 
     def test_non_utf8_byte_rejected(self, tmp_path):
-        path = tmp_path / "s.mgs"
-        write_session(path, [], [])
+        path = self.recording(tmp_path / "s.mgs", [])
         with open(path, "ab") as fh:
-            fh.write(b"E 1.0 Swipe 0.97\xff\n")
+            fh.write(f"F 1.0 R {REST_POSE}".encode() + b"\xff\n")
         with pytest.raises(CorruptRecord, match="UTF-8"):
             read_session(path)
 
@@ -611,10 +666,8 @@ def perfect_report():
 
 
 class TestReports:
-    def test_identity_report_renders_full_diagonal(self, tmp_path):
-        path = tmp_path / "r.txt"
-        emit_report(perfect_report(), path, human=True)
-        text = path.read_text()
+    def test_identity_report_renders_full_diagonal(self):
+        text = render_report(perfect_report())
         assert "100.0" in text
         assert "Macro accuracy: 1.0000" in text
 
@@ -648,7 +701,7 @@ class TestReports:
 
 
 # every error a text reader may raise; anything else is a reader bug
-TEXT_ERRORS = (VersionMismatch, CorruptRecord, JointOrderMismatch)
+TEXT_ERRORS = (VersionMismatch, CorruptRecord, JointOrderMismatch, ClassOrderMismatch)
 TEXT_READERS = st.sampled_from([read_session, read_command_log, read_report])
 
 
@@ -657,7 +710,7 @@ def text_blobs(fuzz_dir):
     """Bytes of one small file per text format, by reader."""
     subject = synth.subjects_for(0, 1)[0]
     frames = list(clip_frames(synth.synth_clips([(GestureClass.FIST, subject, 1)])[0]))[:3]
-    write_session(fuzz_dir / "s.mgs", frames, [GestureEvent(GestureClass.FIST, fired_at=0.5, mean_confidence=0.99)])
+    write_session(fuzz_dir / "s.mgs", frames, FsmConfig(refractory=60), "Text.\n\nMore", Granularity.WORD)
     write_command_log(fuzz_dir / "c.log", [
         (0.5, EditCommand.set_granularity(Granularity.WORD)),
         (1.0, EditCommand.move_caret(2)),

@@ -47,6 +47,9 @@ class TestDeterminism:
 
 
 class TestClipShapes:
+    def test_no_specs_give_no_clips(self):
+        assert synth_clips([]) == []
+
     def test_static_frame_count_and_duration(self, subject):
         for gesture in (GestureClass.OPEN, GestureClass.PINKY):
             clip = one_clip(gesture, subject, 3)

@@ -23,8 +23,11 @@ script, so its sessions would only compare two failed runs.
 
 It compares ``dataset.mgd``, ``checkpoint.mgc``, ``training_log.json``,
 ``report.mgr`` and the outputs of every stream run and of the replay byte
-for byte, and each command's exit code. It prints one line per artifact and
-exits 1 on any difference.
+for byte, and each command's exit code. A recording carries its run's
+inputs, so within the change tree each replay output must also equal the
+seed-7 run's own (rows ``change replay/<name> == stream-7/<name>``); that
+catches a replay that both trees get wrong alike. It prints one line per
+artifact and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -88,13 +91,17 @@ def _read(path: Path) -> bytes | None:
 
 def compare(parent: Path, change: Path, parent_codes: dict, change_codes: dict,
             streams: bool) -> list[tuple[str, bool]]:
-    """(label, identical) per command exit code and per artifact; an
-    artifact missing on both sides counts as a difference."""
+    """(label, identical) per command exit code, per artifact and, with the
+    stream runs, per replay output against the change tree's own seed-7
+    run; an artifact missing on both sides counts as a difference."""
     rows = [(f"exit {name} {parent_codes[name]} {change_codes[name]}",
              parent_codes[name] == change_codes[name]) for name in parent_codes]
     for name in artifacts(streams):
         a, b = _read(parent / name), _read(change / name)
         rows.append((name, a is not None and a == b))
+    for name in STREAM_ARTIFACTS if streams else ():
+        a, b = _read(change / "replay" / name), _read(change / "stream-7" / name)
+        rows.append((f"change replay/{name} == stream-7/{name}", a is not None and a == b))
     return rows
 
 
