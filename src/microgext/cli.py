@@ -9,10 +9,10 @@ Primary outputs (.mgd/.mgc/.mgr/.mgs, final documents) are byte-identical
 across runs with equal inputs and seeds; wall-clock measurements go to a
 separate timing file. A --config JSON file overrides training
 hyperparameters for train, and FSM fields over the script's or the
-recording's own FSM settings for stream; each command rejects keys it does not use and echoes
-the file into the output directory. Exit codes: 0 ok, 1 failed run
-assertion, 2 usage error (including an input file that its reader rejects,
-such as a malformed scenario script).
+recording's own FSM settings for stream; each command rejects keys it does
+not use and echoes the file into the output directory. Exit codes: 0 ok,
+1 failed run assertion, 2 usage error (including an input file that its
+reader rejects, such as a malformed scenario script).
 """
 
 from __future__ import annotations

@@ -361,7 +361,7 @@ class TestCli:
     def test_stream_undecodable_session_is_a_usage_error(self, tmp_path, ckpt_path):
         sc = default_scenario(7)
         bad = tmp_path / "latin1.mgs"
-        session_io.write_session(bad, compile_scenario(sc)[0][:5], sc.fsm_config(), sc.initial_text, sc.granularity)
+        session_io.write_session(bad, [], sc.fsm_config(), sc.initial_text, sc.granularity)
         with open(bad, "ab") as fh:
             fh.write(b"F 9.0 R\xff\n")
         r = CliRunner().invoke(main, ["stream", "--checkpoint", str(ckpt_path), "--session", str(bad),
