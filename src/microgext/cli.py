@@ -187,18 +187,20 @@ def cmd_eval(ckpt_path, dataset_path, fold_subject, seed, out):
               help="Replay a recorded session (.mgs).")
 @click.option("--script", "script_path", default=None,
               help="Scenario JSON file, or 'default' for the built-in 8-command script.")
-@click.option("--seed", default=7, show_default=True)
+@click.option("--seed", type=int, default=None, help="Script seed of --script default [default: 7].")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", default="out", show_default=True)
 def cmd_stream(ckpt_path, session_path, script_path, seed, config_path, out):
     """Run the online recognizer over a session or scripted scenario."""
     if (session_path is None) == (script_path is None):
         raise click.UsageError("provide exactly one of --session or --script")
+    if seed is not None and script_path != "default":
+        raise click.UsageError("--seed is used only with --script default")
     fsm_kwargs = _load_config(config_path, _FSM_FIELDS)
     params = _read(session_io.load_checkpoint, ckpt_path)
 
     if script_path is not None:
-        sc = (scenario_mod.default_scenario(seed) if script_path == "default"
+        sc = (scenario_mod.default_scenario(7 if seed is None else seed) if script_path == "default"
               else _read(scenario_mod.load_scenario, script_path))
         frames, expected = scenario_mod.compile_scenario(sc)
         base_cfg, initial_text, granularity = sc.fsm_config(), sc.initial_text, sc.granularity

@@ -23,9 +23,9 @@ it never changes the argmax and is excluded from gradient-based training.
 the rest from a window's Q/K/V and h0 rows: the attention, the class head
 with its tau softmax and the sub-state head. ``forward_batch`` runs both on
 whole windows for training and evaluation and adds the embedding head. The
-streaming predictor (``stream.ModelPredictor``) runs ``joint_stage`` and the
-fused Q/K/V projection (``qkv_weight``) on one new frame per push, keeps
-the window's rows itself and calls ``heads`` on them.
+streaming predictor (``stream.ModelPredictor``) runs ``joint_stage`` on one
+new frame per push and folds V into both heads, sharing ``attention`` and
+``checked_class_probs`` with ``heads``.
 
 Every array takes its dtype from the parameters: ``training.train`` runs the
 step on float32 tensors, while float64 parameters (``init_params``, a loaded
@@ -193,10 +193,16 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     return {"x": xs, "lin": lin, "d": d, "inv": inv, "h0": h0}
 
 
-def qkv_weight(params: ModelParams) -> np.ndarray:
-    """Wq, Wk and Wv side by side, (H, 3H): a row times it is [q | k | v]."""
-    p = params.tensors
-    return np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
+def attention(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Attention weights softmax(q kᵀ / √H) of query and key rows (..., T, H)."""
+    return losses.softmax((q @ k.mT) * (1.0 / math.sqrt(q.shape[-1])))
+
+
+def checked_class_probs(class_logits: np.ndarray, state_logits: np.ndarray, tau: float) -> np.ndarray:
+    """softmax(class_logits / tau); raises NonFiniteActivation unless both heads' logits are finite."""
+    if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
+        raise NonFiniteActivation("non-finite activations in forward pass")
+    return losses.softmax(class_logits / tau)
 
 
 def heads(params: ModelParams, qkv: np.ndarray, h0: np.ndarray) -> dict[str, np.ndarray]:
@@ -206,21 +212,20 @@ def heads(params: ModelParams, qkv: np.ndarray, h0: np.ndarray) -> dict[str, np.
     Returns class_logits (..., 8), class_probs (softmax of logits / tau)
     and state_logits (..., T, 5), and for the backward pass attn
     (..., T, T), g (..., H), the frame-mean attention output, and u_cat
-    (..., T, 2H).
+    (..., T, 2H). ``stream.ModelPredictor`` folds V into both heads instead.
     """
     p = params.tensors
     hidden = params.hp.hidden
     q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
-    attn = losses.softmax((q @ k.mT) * (1.0 / math.sqrt(hidden)))
+    attn = attention(q, k)
     a = attn @ v
     g = a.mean(axis=-2)
     class_logits = g @ p["w_class"] + p["b_class"]
     # the state head takes every frame's (2H) row in one GEMM
     u_cat = np.concatenate([a, h0], axis=-1)
     state_logits = (u_cat.reshape(-1, 2 * hidden) @ p["w_state"] + p["b_state"]).reshape(*a.shape[:-1], N_STATES)
-    if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
-        raise NonFiniteActivation("non-finite activations in forward pass")
-    return {"class_logits": class_logits, "class_probs": losses.softmax(class_logits / params.tau),
+    class_probs = checked_class_probs(class_logits, state_logits, params.tau)
+    return {"class_logits": class_logits, "class_probs": class_probs,
             "state_logits": state_logits, "attn": attn, "g": g, "u_cat": u_cat}
 
 
@@ -242,7 +247,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
     stage = joint_stage(params, x)
     h = stage["h0"] + p["temporal_embed"]  # (B, T, H)
     # Q, K and V as one flat (B*T, H) @ (H, 3H) GEMM
-    w_qkv = qkv_weight(params)
+    w_qkv = np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
     qkv = (h.reshape(-1, hidden) @ w_qkv).reshape(*h.shape[:2], 3 * hidden)
     out = heads(params, qkv, stage["h0"])
 

@@ -9,11 +9,12 @@ time goes to a fixed-bucket latency histogram.
 
 The model's predictor is incremental (Transformer-XL-style state reuse,
 Dai et al. 2019). The per-joint stage is frame-local, and the temporal
-embedding TE enters the attention projections linearly:
-(h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. So a push runs the per-joint stage
-and one fused Q/K/V projection on the newest frame only, into rings of the
-last T frames, and a full window costs one ``network.heads`` call, the same
-attention and heads that training runs. The embedding head never runs online.
+embedding TE enters every linear map of h = h0 + TE linearly:
+(h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. Both heads read V only through
+such maps, so V folds into them. A push runs the per-joint stage and one
+projection on the newest frame only, into a ring of the last T frames'
+rows, and a full window costs the (T, T) attention and two small products.
+The embedding head never runs online.
 
 Each inference also reads the swipe progress u of the newest frame
 (``last_swipe_u``), from which the session runner derives a swipe's
@@ -92,24 +93,33 @@ def inference_thread_cap():
 class ModelPredictor:
     """Incremental forward pass of trained ModelParams over a sliding window.
 
-    ``push(features)`` takes one frame's (J, D) features, runs the per-joint
-    stage on it and stores its pooled embedding h0 and its [q | k | v] row
-    h0 @ ``network.qkv_weight``. ``__call__()`` adds the (TE @ W) row of each
-    window position to the rows of the last T pushed frames (the caller
-    pushes at least T first) and runs ``network.heads`` on them, so it
-    returns ``(class_probs (8,), state_logits (T, 5))`` as ``forward_batch``
-    would for that window, up to float rounding.
+    ``push(features)`` runs the per-joint stage on one frame's (J, D)
+    features and stores the row h0 @ [Wq | Wk | Wv Wc | Wv Ws_a | Ws_h] of
+    2H + 8 + 5 + 5 columns, where Ws_a = w_state[:H] and Ws_h = w_state[H:].
+    ``__call__()`` adds each window position's TE row (TE times the same
+    columns, zero under Ws_h, which reads h0 and not h0 + TE) to the rows of
+    the last T pushed frames (the caller pushes at least T first). Then
+    class_logits = mean_t(attn_t) (V Wc) + b_class and state_logits =
+    attn (V Ws_a) + h0 Ws_h + b_state, so it returns ``(class_probs (8,),
+    state_logits (T, 5))`` as ``forward_batch`` would for that window, up
+    to float rounding.
     """
 
     def __init__(self, params: network.ModelParams):
         self.params = params
+        p = params.tensors
         hidden = params.hp.hidden
-        self._w_qkv = network.qkv_weight(params)  # (H, 3H)
-        self._te_qkv = params.tensors["temporal_embed"] @ self._w_qkv  # (T, 3H)
-        # each ring stores a frame's row twice, at slots i and i + T, so the
+        w_v = p["wv"] @ np.concatenate([p["w_class"], p["w_state"][:hidden]], axis=1)
+        w_h = np.concatenate([p["wq"], p["wk"], w_v], axis=1)  # the columns that h = h0 + TE feeds
+        self._w_row = np.concatenate([w_h, p["w_state"][hidden:]], axis=1)
+        self._te_row = np.zeros((T_WINDOW, self._w_row.shape[1]))
+        self._te_row[:, : w_h.shape[1]] = p["temporal_embed"] @ w_h
+        # where the q, k, V Wc and V Ws_a blocks end
+        self._ends = tuple(np.cumsum([hidden, hidden, network.N_CLASSES, network.N_STATES]).tolist())
+        # the ring stores a frame's row twice, at slots i and i + T, so the
         # last T frames in time order are always the view [next, next + T)
-        self._h0 = np.zeros((2 * T_WINDOW, hidden))
-        self._qkv = np.zeros((2 * T_WINDOW, 3 * hidden))
+        self._rows = np.zeros((2 * T_WINDOW, self._w_row.shape[1]))
+        self._window = np.empty_like(self._te_row)
         self._next = 0
 
     def push(self, features: np.ndarray) -> None:
@@ -117,16 +127,20 @@ class ModelPredictor:
             raise network.ShapeMismatch(f"expected frame features {network.INPUT_SHAPE[1:]}, got {features.shape}")
         h0 = network.joint_stage(self.params, features)["h0"]
         i = self._next
-        row = self._qkv[i]
-        np.matmul(h0, self._w_qkv, out=row)
-        self._qkv[i + T_WINDOW] = row
-        self._h0[i] = self._h0[i + T_WINDOW] = h0
+        row = self._rows[i]
+        np.matmul(h0, self._w_row, out=row)
+        self._rows[i + T_WINDOW] = row
         self._next = (i + 1) % T_WINDOW
 
     def __call__(self):
+        p = self.params.tensors
+        q_end, k_end, c_end, s_end = self._ends
         n = self._next
-        out = network.heads(self.params, self._qkv[n : n + T_WINDOW] + self._te_qkv, self._h0[n : n + T_WINDOW])
-        return out["class_probs"], out["state_logits"]
+        window = np.add(self._rows[n : n + T_WINDOW], self._te_row, out=self._window)
+        attn = network.attention(window[:, :q_end], window[:, q_end:k_end])
+        class_logits = (attn.sum(axis=0) / T_WINDOW) @ window[:, k_end:c_end] + p["b_class"]
+        state_logits = attn @ window[:, c_end:s_end] + window[:, s_end:] + p["b_state"]
+        return network.checked_class_probs(class_logits, state_logits, self.params.tau), state_logits
 
 
 def swipe_progress(state_logits: np.ndarray):

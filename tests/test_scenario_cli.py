@@ -477,6 +477,19 @@ class TestCli:
         for name in STREAM_OUTPUTS:
             assert (tmp_path / "replay" / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
+    def test_stream_seed_is_a_usage_error_where_unused(self, tmp_path, ckpt_path):
+        # a JSON script and a recording carry their own seed, so --seed would
+        # be silently ignored there
+        base = ["stream", "--checkpoint", str(ckpt_path)]
+        CliRunner().invoke(main, [*base, "--script", "default", "--out", str(tmp_path / "run")])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(scenario_to_dict(default_scenario(8))))
+        for source in (["--session", str(tmp_path / "run" / "session.mgs")], ["--script", str(script)]):
+            r = CliRunner().invoke(main, [*base, *source, "--seed", "7", "--out", str(tmp_path / "o")])
+            assert r.exit_code == 2, r.output
+            assert "--seed" in r.output
+            assert not (tmp_path / "o").exists()
+
     def test_stream_records_the_config_override_it_replays_with(self, tmp_path, ckpt_path):
         base = ["stream", "--checkpoint", str(ckpt_path)]
         CliRunner().invoke(main, [*base, "--script", "default", "--out", str(tmp_path / "run")])

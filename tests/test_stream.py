@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from microgext import network, scenario, stream, synth
+from microgext import calibration, network, scenario, stream, synth
 from microgext.fsm import FsmConfig
 from microgext.network import NonFiniteActivation, ShapeMismatch
 from microgext.skeleton import T_WINDOW, Handedness, MixedHandedness, features_from_arrays
@@ -206,10 +206,17 @@ def default_sessions():
 
 
 class TestIncrementalForward:
-    @pytest.mark.parametrize("tau", [1.0, 0.6])
-    def test_matches_forward_batch_on_every_frame(self, default_sessions, tau):
-        params = network.init_params(network.HyperParams(hidden=32), seed=4).with_tau(tau)
-        for frames, _ in default_sessions:
+    # TAU_LO is where fitted temperatures sit, the benchmark checkpoint's
+    # among them; 1/tau scales the logits' rounding by 20 there
+    @pytest.mark.parametrize("hidden, tau, n_sessions", [
+        pytest.param(32, 1.0, 8, id="1.0"),
+        pytest.param(32, 0.6, 8, id="0.6"),
+        pytest.param(32, calibration.TAU_LO, 8, id="tau_lo"),
+        pytest.param(256, calibration.TAU_LO, 2, id="h256-tau_lo"),
+    ])
+    def test_matches_forward_batch_on_every_frame(self, default_sessions, hidden, tau, n_sessions):
+        params = network.init_params(network.HyperParams(hidden=hidden), seed=4).with_tau(tau)
+        for frames, _ in default_sessions[:n_sessions]:
             features = [
                 features_from_arrays(f.positions, f.orientations)
                 for f in frames if f.handedness is Handedness.RIGHT
