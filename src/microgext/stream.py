@@ -9,12 +9,12 @@ time goes to a fixed-bucket latency histogram.
 
 The model's predictor is incremental (Transformer-XL-style state reuse,
 Dai et al. 2019). The per-joint stage is frame-local, and the temporal
-embedding TE enters every linear map of h = h0 + TE linearly:
+embedding TE enters the Q, K and V projections linearly:
 (h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. Both heads read V only through
-such maps, so V folds into them. A push runs the per-joint stage and one
-projection on the newest frame only, into a ring of the last T frames'
-rows, and a full window costs the (T, T) attention and two small products.
-The embedding head never runs online.
+linear maps, so V folds into them as well. A push runs the per-joint stage
+and one projection on the newest frame only, into a ring of the last T
+frames' rows, and a full window costs the (T, T) attention and two small
+products. The embedding head never runs online.
 
 Each inference also reads the swipe progress u of the newest frame
 (``last_swipe_u``), from which the session runner derives a swipe's
