@@ -24,8 +24,8 @@ the rest from a window's Q/K/V and h0 rows: the attention, the class head
 with its tau softmax and the sub-state head. ``forward_batch`` runs both on
 whole windows for training and evaluation and adds the embedding head. The
 streaming predictor (``stream.ModelPredictor``) runs ``joint_stage`` on one
-new frame per push and folds V into both heads, sharing ``attention`` and
-``checked_class_probs`` with ``heads``.
+new frame per push, folds K into the queries and V into both heads, and
+shares ``checked_class_probs`` with ``heads``.
 
 Every array takes its dtype from the parameters: ``training.train`` runs the
 step on float32 tensors, while float64 parameters (``init_params``, a loaded
@@ -193,11 +193,6 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
     return {"x": xs, "lin": lin, "d": d, "inv": inv, "h0": h0}
 
 
-def attention(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Attention weights softmax(q kᵀ / √H) of query and key rows (..., T, H)."""
-    return losses.softmax((q @ k.mT) * (1.0 / math.sqrt(q.shape[-1])))
-
-
 def checked_class_probs(class_logits: np.ndarray, state_logits: np.ndarray, tau: float) -> np.ndarray:
     """softmax(class_logits / tau); raises NonFiniteActivation unless both heads' logits are finite."""
     if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
@@ -212,12 +207,13 @@ def heads(params: ModelParams, qkv: np.ndarray, h0: np.ndarray) -> dict[str, np.
     Returns class_logits (..., 8), class_probs (softmax of logits / tau)
     and state_logits (..., T, 5), and for the backward pass attn
     (..., T, T), g (..., H), the frame-mean attention output, and u_cat
-    (..., T, 2H). ``stream.ModelPredictor`` folds V into both heads instead.
+    (..., T, 2H). ``stream.ModelPredictor`` folds K into the queries and V
+    into both heads instead.
     """
     p = params.tensors
     hidden = params.hp.hidden
     q, k, v = qkv[..., :hidden], qkv[..., hidden : 2 * hidden], qkv[..., 2 * hidden :]
-    attn = attention(q, k)
+    attn = losses.softmax((q @ k.mT) * (1.0 / math.sqrt(hidden)))
     a = attn @ v
     g = a.mean(axis=-2)
     class_logits = g @ p["w_class"] + p["b_class"]

@@ -8,10 +8,20 @@ once, in component form: ``multiply_components`` and ``rotate_components``
 take a quaternion as its four component arrays (or a (4, ...) array, whose
 rows are the components), which is how synthesis calls them on contiguous
 per-component planes; ``rotate`` unpacks its last axis into that form and
-stacks the result back.
+stacks the result back. Synthesis keeps the component form because every
+clip's bytes depend on its operation order.
+
+Featurization instead needs, per frame, the rotation by conj(q) and the
+left product by conj(q), both linear maps (Shoemake 1985, "Animating
+Rotation with Quaternion Curves"). ``inverse_map`` builds them as one 7×7
+block-diagonal matrix from ``[q⊗q | q | 1] @ INVERSE_TABLE``, a constant
+(21, 49) table of small integers; the tests check it against the component
+form.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -27,11 +37,6 @@ def multiply_components(a, b) -> tuple:
         aw * by - ax * bz + ay * bw + az * bx,
         aw * bz + ax * by - ay * bx + az * bw,
     )
-
-
-def conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def rotate_components(q, v) -> tuple:
@@ -63,6 +68,57 @@ def rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack(
         rotate_components((q[..., 0], q[..., 1], q[..., 2], q[..., 3]), (v[..., 0], v[..., 1], v[..., 2])), axis=-1
     )
+
+
+# The two blocks of ``inverse_map``'s B by rows, each entry a sum of integer
+# times factor, where "xy" is x·y and a bare digit is a constant. For row
+# vectors B holds the transposes of the maps: the rotation by conj(q)
+# transposed is the rotation matrix of q, and the left product by conj(q)
+# transposed is the left-product matrix of q.
+_ROTATION_ROWS = (
+    ("1 -2yy -2zz", "2xy -2wz", "2xz +2wy"),
+    ("2xy +2wz", "1 -2xx -2zz", "2yz -2wx"),
+    ("2xz -2wy", "2yz +2wx", "1 -2xx -2yy"),
+)
+_PRODUCT_ROWS = (
+    ("w", "-x", "-y", "-z"),
+    ("x", "w", "-z", "y"),
+    ("y", "z", "w", "-x"),
+    ("z", "-y", "x", "w"),
+)
+
+
+def _inverse_table() -> np.ndarray:
+    """The (21, 49) table whose rows are the factors q⊗q (16), q (4) and 1."""
+    factors = [a + b for a in "wxyz" for b in "wxyz"] + list("wxyz") + [""]
+    table = np.zeros((len(factors), 7, 7))
+    for offset, block in ((0, _ROTATION_ROWS), (3, _PRODUCT_ROWS)):
+        for i, row in enumerate(block):
+            for j, entry in enumerate(row):
+                for term in entry.split():
+                    sign, digit, factor = re.fullmatch(r"([+-]?)(\d?)([wxyz]*)", term).groups()
+                    table[factors.index(factor), offset + i, offset + j] = int(sign + (digit or "1"))
+    return table.reshape(len(factors), 7 * 7)
+
+
+INVERSE_TABLE = _inverse_table()
+
+
+def inverse_map(q: np.ndarray) -> np.ndarray:
+    """The (..., 7, 7) block-diagonal B of quaternion(s) q (..., 4) with
+    [v | p] @ B = [rotate(conj(q), v) | conj(q) * p] for row vectors v (3)
+    and p (4): B = [q⊗q | q | 1] @ INVERSE_TABLE.
+
+    The rotation entries are the non-homogeneous ones (1 - 2(y² + z²), ...),
+    the algebra of ``rotate_components``' sandwich formula; the homogeneous
+    ones (w² + x² - y² - z², ...) scale by |q|², which is not exactly 1 for
+    a float32-stored q. The table's coefficients are 0, ±1 and ±2, so its
+    products are exact and only its sums round.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    lead = q.shape[:-1]
+    factors = np.concatenate([(q[..., :, None] * q[..., None, :]).reshape(*lead, 16), q, np.ones((*lead, 1))], axis=-1)
+    return (factors @ INVERSE_TABLE).reshape(*lead, 7, 7)
 
 
 def from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -5,7 +5,9 @@ below each fingertip, and the wrist root. The recognition network consumes
 windows of T = 20 frames where each joint contributes D = 7 features: its
 position and orientation expressed in the wrist frame (3 + 4). Expressing
 everything relative to the wrist makes the features invariant to rigid
-motion of the whole hand, which the tests assert directly.
+motion of the whole hand, which the tests assert directly. Both parts are
+linear in a joint's row, so ``features_from_arrays`` featurizes a frame as
+one product of its rows with a 7×7 matrix built from the wrist quaternion.
 
 A HandFrame is one tracked skeleton: a timestamp, a handedness and two
 read-only joint arrays, positions (11, 3) and orientations (11, 4), which
@@ -148,27 +150,34 @@ def frames_from_arrays(timestamps, handedness: Handedness, positions, orientatio
     return frames
 
 
-def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.ndarray:
-    """Wrist-relative features for stacked frames, shape (..., J, 7).
+def features_from_arrays(positions, orientations) -> np.ndarray:
+    """Wrist-relative features (..., J, 7) of positions (..., J, 3) and
+    orientations (..., J, 4) with equal leading axes; other shapes raise
+    ValueError.
 
-    rel_pos = inv(q_wrist) * (p_j - p_wrist), rel_quat = inv(q_wrist) * q_j
-    with the quaternion sign canonicalized (w >= 0). The wrist row is
-    written exactly rather than computed, so it is bit-stable across inputs.
-    The quaternion products are written component by component straight
-    into the output. Accepts any number of leading frame axes; this is the
-    hot path the training pipeline uses to featurize whole clips in one
-    call, and the stream calls it on every pushed frame.
+    rel_pos = inv(q_wrist) * (p_j - p_wrist) and rel_quat = inv(q_wrist) *
+    q_j, sign-canonical (w >= 0). Both are linear in the joint's row, so
+    each joint's features are [p_j - p_wrist | q_j] times the frame's 7×7
+    ``quat.inverse_map`` of its wrist quaternion, whose non-homogeneous
+    rotation entries are the sandwich formula's own algebra: the
+    homogeneous ones scale by |q_wrist|², which is not exactly 1 for a
+    float32-stored quaternion. The wrist row is written exactly, so it is
+    bit-stable across inputs. Every frame takes the same per-frame product,
+    so a frame alone equals its row of a chunk or a batch bit for bit; this
+    is the one entry point for the stream's frames and training's windows
+    and chunks of clips.
     """
     pos = np.asarray(positions, dtype=np.float64)
     ori = np.asarray(orientations, dtype=np.float64)
-    inv_w = quat.conjugate(ori[..., WRIST, None, :])
-    inv = (inv_w[..., 0], inv_w[..., 1], inv_w[..., 2], inv_w[..., 3])
-    rel = pos - pos[..., WRIST, None, :]
-    out = np.empty(pos.shape[:-1] + (7,))
-    out[..., 0], out[..., 1], out[..., 2] = quat.rotate_components(inv, (rel[..., 0], rel[..., 1], rel[..., 2]))
-    out[..., 3], out[..., 4], out[..., 5], out[..., 6] = quat.multiply_components(
-        inv, (ori[..., 0], ori[..., 1], ori[..., 2], ori[..., 3])
-    )
+    if pos.shape[-2:] != (NUM_JOINTS, 3) or ori.shape != pos.shape[:-1] + (4,):
+        raise ValueError(
+            f"expected (..., {NUM_JOINTS}, 3) positions and (..., {NUM_JOINTS}, 4) orientations "
+            f"with equal leading axes, got {pos.shape} and {ori.shape}"
+        )
+    rows = np.empty(ori.shape[:-1] + (7,))
+    np.subtract(pos, pos[..., WRIST, None, :], out=rows[..., :3])
+    rows[..., 3:] = ori
+    out = rows @ quat.inverse_map(ori[..., WRIST, :])
     out[..., 3:] = quat.sign_normalize(out[..., 3:])
     out[..., WRIST, :] = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     return out

@@ -9,12 +9,14 @@ time goes to a fixed-bucket latency histogram.
 
 The model's predictor is incremental (Transformer-XL-style state reuse,
 Dai et al. 2019). The per-joint stage is frame-local, and the temporal
-embedding TE enters the Q, K and V projections linearly:
-(h0 + TE[p]) @ W = h0 @ W + (TE @ W)[p]. Both heads read V only through
-linear maps, so V folds into them as well. A push runs the per-joint stage
-and one projection on the newest frame only, into a ring of the last T
-frames' rows, and a full window costs the (T, T) attention and two small
-products. The embedding head never runs online.
+embedding TE enters every projection linearly: (h0 + TE[p]) @ W =
+h0 @ W + (TE @ W)[p]. The attention scores are one bilinear form,
+q kᵀ / √H = (h Wq Wkᵀ / √H) hᵀ, so K folds into the query side and the
+keys are the rows h themselves; both heads read V only through linear
+maps, so V folds into them as well. A push runs the per-joint stage and one
+projection on the newest frame only, into a ring of the last T frames'
+rows, and a full window costs the (T, T) attention and two small products.
+The embedding head never runs online.
 
 Each inference also reads the swipe progress u of the newest frame
 (``last_swipe_u``), from which the session runner derives a swipe's
@@ -94,31 +96,36 @@ class ModelPredictor:
     """Incremental forward pass of trained ModelParams over a sliding window.
 
     ``push(features)`` runs the per-joint stage on one frame's (J, D)
-    features and stores the row h0 @ [Wq | Wk | Wv Wc | Wv Ws_a | Ws_h] of
-    2H + 8 + 5 + 5 columns, where Ws_a = w_state[:H] and Ws_h = w_state[H:].
-    ``__call__()`` adds each window position's TE row (TE times the same
-    columns, zero under Ws_h, which reads h0 and not h0 + TE) to the rows of
-    the last T pushed frames (the caller pushes at least T first). Then
+    features and stores the row [h0 | h0 @ [Wqk | V Wc | V Ws_a | Ws_h]]
+    of 2H + 8 + 5 + 5 columns, where Wqk = Wq Wkᵀ / √H, Ws_a = w_state[:H]
+    and Ws_h = w_state[H:]. ``__call__()`` adds each window position's TE
+    row ([TE | TE times the same columns], zero under Ws_h, which reads h0
+    and not h = h0 + TE) to the rows of the last T pushed frames (the
+    caller pushes at least T first), so the first H columns hold the keys h
+    and the next H the folded queries h Wqk. Then attn = softmax(h Wqk hᵀ),
     class_logits = mean_t(attn_t) (V Wc) + b_class and state_logits =
     attn (V Ws_a) + h0 Ws_h + b_state, so it returns ``(class_probs (8,),
     state_logits (T, 5))`` as ``forward_batch`` would for that window, up
-    to float rounding.
+    to float rounding. The biases are read at call time.
     """
 
     def __init__(self, params: network.ModelParams):
         self.params = params
         p = params.tensors
         hidden = params.hp.hidden
+        w_qk = (p["wq"] @ p["wk"].T) * (1.0 / math.sqrt(hidden))
         w_v = p["wv"] @ np.concatenate([p["w_class"], p["w_state"][:hidden]], axis=1)
-        w_h = np.concatenate([p["wq"], p["wk"], w_v], axis=1)  # the columns that h = h0 + TE feeds
+        w_h = np.concatenate([w_qk, w_v], axis=1)  # the columns that h = h0 + TE feeds
         self._w_row = np.concatenate([w_h, p["w_state"][hidden:]], axis=1)
-        self._te_row = np.zeros((T_WINDOW, self._w_row.shape[1]))
-        self._te_row[:, : w_h.shape[1]] = p["temporal_embed"] @ w_h
-        # where the q, k, V Wc and V Ws_a blocks end
+        width = hidden + self._w_row.shape[1]
+        self._te_row = np.zeros((T_WINDOW, width))
+        self._te_row[:, :hidden] = p["temporal_embed"]
+        self._te_row[:, hidden : hidden + w_h.shape[1]] = p["temporal_embed"] @ w_h
+        # where the h, query, V Wc and V Ws_a blocks end
         self._ends = tuple(np.cumsum([hidden, hidden, network.N_CLASSES, network.N_STATES]).tolist())
         # the ring stores a frame's row twice, at slots i and i + T, so the
         # last T frames in time order are always the view [next, next + T)
-        self._rows = np.zeros((2 * T_WINDOW, self._w_row.shape[1]))
+        self._rows = np.zeros((2 * T_WINDOW, width))
         self._window = np.empty_like(self._te_row)
         self._next = 0
 
@@ -128,17 +135,19 @@ class ModelPredictor:
         h0 = network.joint_stage(self.params, features)["h0"]
         i = self._next
         row = self._rows[i]
-        np.matmul(h0, self._w_row, out=row)
+        hidden = self._ends[0]
+        row[:hidden] = h0
+        np.matmul(h0, self._w_row, out=row[hidden:])
         self._rows[i + T_WINDOW] = row
         self._next = (i + 1) % T_WINDOW
 
     def __call__(self):
         p = self.params.tensors
-        q_end, k_end, c_end, s_end = self._ends
+        h_end, q_end, c_end, s_end = self._ends
         n = self._next
         window = np.add(self._rows[n : n + T_WINDOW], self._te_row, out=self._window)
-        attn = network.attention(window[:, :q_end], window[:, q_end:k_end])
-        class_logits = (attn.sum(axis=0) / T_WINDOW) @ window[:, k_end:c_end] + p["b_class"]
+        attn = losses.softmax(window[:, h_end:q_end] @ window[:, :h_end].T)
+        class_logits = (attn.sum(axis=0) / T_WINDOW) @ window[:, q_end:c_end] + p["b_class"]
         state_logits = attn @ window[:, c_end:s_end] + window[:, s_end:] + p["b_state"]
         return network.checked_class_probs(class_logits, state_logits, self.params.tau), state_logits
 

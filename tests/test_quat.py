@@ -41,13 +41,6 @@ def test_multiply_composes_rotations():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_conjugate_inverts_unit_rotation():
-    rng = np.random.default_rng(2)
-    q = random_unit(rng)
-    v = rng.normal(size=3)
-    np.testing.assert_allclose(quat.rotate(quat.conjugate(q), quat.rotate(q, v)), v, atol=1e-12)
-
-
 def test_broadcasting_over_leading_axes():
     rng = np.random.default_rng(3)
     qs = np.stack([random_unit(rng) for _ in range(6)]).reshape(2, 3, 4)
@@ -96,3 +89,24 @@ def test_sign_normalize():
     zero_w = np.array([0.0, -0.6, 0.8, 0.0])
     out = quat.sign_normalize(zero_w)
     assert out[1] > 0  # tie broken on the first nonzero vector component
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_inverse_table_reproduces_component_forms(dtype):
+    """Row i of B is the image of basis vector e_i: rows 0-2 under the
+    rotation by conj(q), rows 3-6 under the left product by conj(q), both in
+    component form; every other entry is exactly zero."""
+    rng = np.random.default_rng(7)
+    qs = rng.normal(size=(50, 4))
+    qs = (qs / np.linalg.norm(qs, axis=-1, keepdims=True)).astype(dtype).astype(np.float64)
+    b = quat.inverse_map(qs)
+    assert b.shape == (50, 7, 7)
+    conj = qs.T * np.array([1.0, -1.0, -1.0, -1.0])[:, None]
+    for i, e in enumerate(np.eye(3)):
+        want = np.stack(quat.rotate_components(conj, e[:, None]), axis=-1)
+        np.testing.assert_allclose(b[:, i, :3], want, rtol=0, atol=1e-15)
+    for i, e in enumerate(np.eye(4)):
+        want = np.stack(quat.multiply_components(conj, e[:, None]), axis=-1)
+        np.testing.assert_allclose(b[:, 3 + i, 3:], want, rtol=0, atol=1e-15)
+    assert np.all(b[:, :3, 3:] == 0.0) and np.all(b[:, 3:, :3] == 0.0)
+    assert np.array_equal(b[0], quat.inverse_map(qs[0]))

@@ -15,6 +15,8 @@ from microgext.skeleton import (
     frames_from_arrays,
 )
 
+from . import skeleton_reference
+
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 ORIENTATIONS = np.tile(IDENTITY, (NUM_JOINTS, 1))
 
@@ -203,3 +205,64 @@ class TestExtractFeatures:
         frames = [random_frame(rng, t=i / 72) for i in range(T_WINDOW)]
         fw = featurize(frames)
         assert np.all(fw[:, :, 3] >= 0.0)
+
+
+def random_arrays(rng, lead, dtype=np.float64):
+    """Stacked (*lead, 11, 3) positions and (*lead, 11, 4) unit quaternions,
+    stored as ``dtype`` (float32 storage leaves norms off 1 by up to ~1e-7)."""
+    ori = rng.normal(size=(*lead, NUM_JOINTS, 4))
+    ori /= np.linalg.norm(ori, axis=-1, keepdims=True)
+    return rng.normal(0, 0.1, (*lead, NUM_JOINTS, 3)).astype(dtype), ori.astype(dtype)
+
+
+def sign_tie_arrays(rng, n):
+    """n frames whose wrist quaternions have w = 0 exactly and whose joints
+    are signed basis quaternions, so that many relative quaternions have
+    w = 0 exactly and take the sign tie-break, some of them flipped."""
+    wrists = np.array([(0.0, 0.0, 0.6, 0.8), (0.0, -1.0, 0.0, 0.0), (0.0, 0.6, -0.8, 0.0), (0.0, 0.0, 0.0, -1.0)])
+    basis = np.concatenate([np.eye(4), -np.eye(4)])
+    ori = basis[rng.integers(0, len(basis), (n, NUM_JOINTS))]
+    ori[:, 0] = wrists[rng.integers(0, len(wrists), n)]
+    return rng.normal(0, 0.1, (n, NUM_JOINTS, 3)), ori
+
+
+class TestMatrixForm:
+    """The matrix-form featurizer against the component-form oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_component_form(self, dtype):
+        pos, ori = random_arrays(np.random.default_rng(11), (500,), dtype)
+        np.testing.assert_allclose(
+            features_from_arrays(pos, ori), skeleton_reference.features_from_arrays(pos, ori), rtol=0, atol=1e-15
+        )
+
+    def test_matches_component_form_on_sign_ties(self):
+        pos, ori = sign_tie_arrays(np.random.default_rng(12), 200)
+        want = skeleton_reference.features_from_arrays(pos, ori)
+        ties = want[:, 1:, 3] == 0.0
+        assert ties.sum() > 100 and np.any(ties & (want[:, 1:, 4:] < 0.0).any(axis=-1))
+        np.testing.assert_allclose(features_from_arrays(pos, ori), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_frame_alone_equals_its_row_of_a_chunk_and_a_batch(self, dtype):
+        pos, ori = random_arrays(np.random.default_rng(13), (3 * T_WINDOW,), dtype)
+        tie_pos, tie_ori = sign_tie_arrays(np.random.default_rng(14), T_WINDOW)
+        pos, ori = np.concatenate([pos, tie_pos]), np.concatenate([ori, tie_ori])
+        chunk = features_from_arrays(pos, ori)
+        batch = features_from_arrays(pos.reshape(4, T_WINDOW, NUM_JOINTS, 3), ori.reshape(4, T_WINDOW, NUM_JOINTS, 4))
+        assert batch.tobytes() == chunk.tobytes()
+        for i in range(len(pos)):
+            assert features_from_arrays(pos[i], ori[i]).tobytes() == chunk[i].tobytes()
+
+    @pytest.mark.parametrize(
+        "pos_shape, ori_shape",
+        [((5, 11, 3), (11, 4)), ((11, 3), (5, 11, 4)), ((5, 11, 3), (4, 11, 4)), ((10, 3), (10, 4)),
+         ((11, 4), (11, 4)), ((11, 3), (11, 3)), ((3,), (4,))],
+        ids=["frames-one-orientation", "one-position-frames", "five-four", "ten-joints", "positions-width",
+             "orientations-width", "no-joint-axis"],
+    )
+    def test_rejects_mismatched_shapes(self, pos_shape, ori_shape):
+        ori = np.zeros(ori_shape)
+        ori[..., 0] = 1.0
+        with pytest.raises(ValueError, match="equal leading axes"):
+            features_from_arrays(np.zeros(pos_shape), ori)
