@@ -150,7 +150,7 @@ def frames_from_arrays(timestamps, handedness: Handedness, positions, orientatio
     return frames
 
 
-def features_from_arrays(positions, orientations) -> np.ndarray:
+def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.ndarray:
     """Wrist-relative features (..., J, 7) of positions (..., J, 3) and
     orientations (..., J, 4) with equal leading axes; other shapes raise
     ValueError.

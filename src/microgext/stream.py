@@ -135,9 +135,8 @@ class ModelPredictor:
         h0 = network.joint_stage(self.params, features)["h0"]
         i = self._next
         row = self._rows[i]
-        hidden = self._ends[0]
-        row[:hidden] = h0
-        np.matmul(h0, self._w_row, out=row[hidden:])
+        row[: h0.size] = h0
+        np.matmul(h0, self._w_row, out=row[h0.size :])
         self._rows[i + T_WINDOW] = row
         self._next = (i + 1) % T_WINDOW
 
