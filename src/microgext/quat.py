@@ -144,4 +144,4 @@ def sign_normalize(q: np.ndarray) -> np.ndarray:
             x, y, z = q[..., 1], q[..., 2], q[..., 3]
             tie = np.where(x != 0.0, x, np.where(y != 0.0, y, z))
             flip = flip | (zero_w & (tie < 0.0))
-    return np.where(flip[..., None], -q, q)
+    return q * np.where(flip, -1.0, 1.0)[..., None]  # exact, and one (..., 4) temporary

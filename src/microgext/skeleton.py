@@ -168,16 +168,17 @@ def features_from_arrays(positions: np.ndarray, orientations: np.ndarray) -> np.
     and chunks of clips.
     """
     pos = np.asarray(positions, dtype=np.float64)
-    ori = np.asarray(orientations, dtype=np.float64)
-    if pos.shape[-2:] != (NUM_JOINTS, 3) or ori.shape != pos.shape[:-1] + (4,):
+    ori_shape = np.shape(orientations)
+    if pos.shape[-2:] != (NUM_JOINTS, 3) or ori_shape != pos.shape[:-1] + (4,):
         raise ValueError(
             f"expected (..., {NUM_JOINTS}, 3) positions and (..., {NUM_JOINTS}, 4) orientations "
-            f"with equal leading axes, got {pos.shape} and {ori.shape}"
+            f"with equal leading axes, got {pos.shape} and {ori_shape}"
         )
-    rows = np.empty(ori.shape[:-1] + (7,))
+    rows = np.empty(ori_shape[:-1] + (7,))
     np.subtract(pos, pos[..., WRIST, None, :], out=rows[..., :3])
-    rows[..., 3:] = ori
-    out = rows @ quat.inverse_map(ori[..., WRIST, :])
+    rows[..., 3:] = orientations  # float32 clips make no float64 copy of their own
+    out = rows @ quat.inverse_map(rows[..., WRIST, 3:])
+    del rows  # before the sign step, which needs a (..., J, 4) temporary
     out[..., 3:] = quat.sign_normalize(out[..., 3:])
     out[..., WRIST, :] = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
     return out
