@@ -247,7 +247,7 @@ class TestMatrixForm:
     def test_frame_alone_equals_its_row_of_a_chunk_and_a_batch(self, dtype):
         pos, ori = random_arrays(np.random.default_rng(13), (3 * T_WINDOW,), dtype)
         tie_pos, tie_ori = sign_tie_arrays(np.random.default_rng(14), T_WINDOW)
-        pos, ori = np.concatenate([pos, tie_pos]), np.concatenate([ori, tie_ori])
+        pos, ori = np.concatenate([pos, tie_pos.astype(dtype)]), np.concatenate([ori, tie_ori.astype(dtype)])
         chunk = features_from_arrays(pos, ori)
         batch = features_from_arrays(pos.reshape(4, T_WINDOW, NUM_JOINTS, 3), ori.reshape(4, T_WINDOW, NUM_JOINTS, 4))
         assert batch.tobytes() == chunk.tobytes()
