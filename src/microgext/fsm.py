@@ -21,7 +21,7 @@ the exhaustive reachable state space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -84,14 +84,23 @@ class GestureEvent:
 
 
 def _validate_probs(probs) -> np.ndarray:
+    """``probs`` as a float64 (8,) array; raises MalformedProbs unless every
+    entry is finite and non-negative and they sum to 1 within 1e-5.
+
+    One min and one sum decide: a NaN, -inf or negative entry fails the
+    min, and +inf or a sum that overflows fails the sum rule. The sum is
+    only taken once the min has passed, so it never meets a NaN or -inf
+    (numpy would warn of an invalid value). Only a rejected input pays for
+    the finer check that picks the message.
+    """
     p = np.asarray(probs, dtype=np.float64)
     if p.shape != (len(CLASS_NAMES),):
         raise MalformedProbs(f"expected {len(CLASS_NAMES)} class probabilities, got shape {p.shape}")
+    if p.min() >= 0.0 and abs(float(p.sum()) - 1.0) <= 1e-5:
+        return p
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise MalformedProbs("probabilities must be finite and non-negative")
-    if abs(float(p.sum()) - 1.0) > 1e-5:
-        raise MalformedProbs(f"probabilities sum to {p.sum():.6f}, not 1")
-    return p
+    raise MalformedProbs(f"probabilities sum to {p.sum():.6f}, not 1")
 
 
 def fsm_step(state: FsmState, class_probs, cfg: FsmConfig) -> tuple[FsmState, GestureClass | None]:
@@ -106,7 +115,7 @@ def fsm_step(state: FsmState, class_probs, cfg: FsmConfig) -> tuple[FsmState, Ge
     if state.refractory_remaining > 0:
         return FsmState(Phase.S1, None, 0, state.refractory_remaining - 1), None
 
-    best = int(np.argmax(p))
+    best = int(p.argmax())
     best_is_gesture = best != NULL_INDEX and p[best] >= cfg.delta
 
     if state.phase is Phase.S1:
@@ -120,7 +129,7 @@ def fsm_step(state: FsmState, class_probs, cfg: FsmConfig) -> tuple[FsmState, Ge
         count = state.consecutive_count + 1
         if count >= cfg.n_consecutive:
             return FsmState(Phase.S1, None, 0, cfg.refractory), state.candidate
-        return replace(state, consecutive_count=count), None
+        return FsmState(state.phase, state.candidate, count, state.refractory_remaining), None
     if best_is_gesture:
         return _enter_streak(GestureClass(CLASS_NAMES[best]), cfg)
     return FsmState(), None

@@ -31,9 +31,16 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    """exp(logits - max) / sum over the last axis, in one new buffer.
+
+    The shift, the exponential and the division run in place on the
+    shifted copy, so ``logits`` is never written and the result has the
+    bits of the formula with a temporary per step.
+    """
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -22,10 +22,12 @@ it never changes the argmax and is excluded from gradient-based training.
 ``joint_stage`` is the frame-local part, from the input to h0, and ``heads``
 the rest from a window's Q/K/V and h0 rows: the attention, the class head
 with its tau softmax and the sub-state head. ``forward_batch`` runs both on
-whole windows for training and evaluation and adds the embedding head. The
-streaming predictor (``stream.ModelPredictor``) runs ``joint_stage`` on one
-new frame per push, folds K into the queries and V into both heads, and
-shares ``checked_class_probs`` with ``heads``.
+whole windows for training and evaluation and adds the embedding head.
+``joint_stage`` takes the input weight ``input_weight`` stacks from the
+parameters: ``forward_batch`` stacks it per call. The streaming predictor
+(``stream.ModelPredictor``) stacks it once, runs ``joint_stage`` on one new
+frame per push, folds K into the queries and V into both heads, and shares
+``checked_class_probs`` with ``heads``.
 
 Every array takes its dtype from the parameters: ``training.train`` runs the
 step on float32 tensors, while float64 parameters (``init_params``, a loaded
@@ -38,6 +40,7 @@ suite checks every parameter tensor against central finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -158,34 +161,51 @@ def init_params(hp: HyperParams, seed: int = 0) -> ModelParams:
     return ModelParams(hp, tensors, tau=1.0)
 
 
-def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
+def input_weight(params: ModelParams) -> np.ndarray:
+    """The (D + 1, H) weight ``joint_stage`` takes: w_in with b_in as its last row."""
+    p = params.tensors
+    return np.concatenate([p["w_in"], p["b_in"][None]])
+
+
+@functools.cache
+def _stage_constants(hidden: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The input scale and the (H,) row of 1/H in ``dtype``, read-only."""
+    scale = _INPUT_SCALE.astype(dtype)
+    mean_row = np.full(hidden, 1.0 / hidden, dtype)
+    scale.flags.writeable = mean_row.flags.writeable = False
+    return scale, mean_row
+
+
+def joint_stage(x: np.ndarray, w_in: np.ndarray) -> dict[str, np.ndarray]:
     """The frame-local stage: features (..., J, D) to the pooled frame
-    embedding h0 (..., H). Returns h0 with the intermediates the backward
-    pass reads, as flat rows where N counts every joint of every frame:
-    x (N, D + 1), the scaled input with a ones column that carries b_in
-    through the one input GEMM; lin (N, H), the pre-ReLU rows; d (N, H), the
-    ReLU rows centred on their mean; and inv (N,), each row's inverse
-    standard deviation. The layer-normed rows z = d * inv are never
-    materialized: the joint pool weights each row of d by inv / J in one
-    batched matmul per frame.
+    embedding h0 (..., H), through ``w_in``, the (D + 1, H) input weight of
+    ``input_weight``; its dtype sets every array's. The caller stacks that
+    weight: ``forward_batch`` per call, the streaming predictor once.
+    Returns h0 with the intermediates the backward pass reads, as flat rows
+    where N counts every joint of every frame: x (N, D + 1), the scaled
+    input with a ones column that carries b_in through the one input GEMM;
+    lin (N, H), the pre-ReLU rows; d (N, H), the ReLU rows centred on their
+    mean; and inv (N,), each row's inverse standard deviation. The
+    layer-normed rows z = d * inv are never materialized: the joint pool
+    weights each row of d by inv / J in one batched matmul per frame.
 
     Nothing here mixes frames, so a streaming caller runs it on one new
     frame per push while ``forward_batch`` runs it on whole windows.
     """
-    p = params.tensors
-    hidden = params.hp.hidden
-    dtype = p["w_in"].dtype
+    hidden = w_in.shape[1]
+    dtype = w_in.dtype
+    scale, mean_row = _stage_constants(hidden, dtype)
     frames = x.shape[:-2]
     xs = np.empty((x.size // N_FEATURES, N_FEATURES + 1), dtype)
-    np.multiply(x.reshape(-1, N_FEATURES), _INPUT_SCALE.astype(dtype, copy=False), out=xs[:, :N_FEATURES])
+    np.multiply(x.reshape(-1, N_FEATURES), scale, out=xs[:, :N_FEATURES])
     xs[:, N_FEATURES] = 1.0
-    lin = xs @ np.concatenate([p["w_in"], p["b_in"][None]])
+    lin = xs @ w_in
     # ReLU, then the layer norm (no affine) statistics. Mean and variance
     # are row dots: unlike a BLAS matrix-vector product, a row's result does
     # not depend on where the row sits in the block, so one streamed frame
     # equals its row of a batch bit for bit.
     d = np.maximum(lin, 0.0)
-    d -= np.vecdot(d, np.full(hidden, 1.0 / hidden, dtype))[:, None]
+    d -= np.vecdot(d, mean_row)[:, None]
     inv = 1.0 / np.sqrt(np.vecdot(d, d) / hidden + LN_EPS)
     # h0 = mean_j(d_j * inv_j)
     pooled = (inv / NUM_JOINTS).reshape(*frames, 1, NUM_JOINTS) @ d.reshape(*frames, NUM_JOINTS, hidden)
@@ -195,7 +215,7 @@ def joint_stage(params: ModelParams, x: np.ndarray) -> dict[str, np.ndarray]:
 
 def checked_class_probs(class_logits: np.ndarray, state_logits: np.ndarray, tau: float) -> np.ndarray:
     """softmax(class_logits / tau); raises NonFiniteActivation unless both heads' logits are finite."""
-    if not np.all(np.isfinite(class_logits)) or not np.all(np.isfinite(state_logits)):
+    if not (np.isfinite(class_logits).all() and np.isfinite(state_logits).all()):
         raise NonFiniteActivation("non-finite activations in forward pass")
     return losses.softmax(class_logits / tau)
 
@@ -240,7 +260,7 @@ def forward_batch(params: ModelParams, x: np.ndarray, want_cache: bool = False):
         raise NonFiniteActivation("non-finite values in input window")
     p = params.tensors
     hidden = params.hp.hidden
-    stage = joint_stage(params, x)
+    stage = joint_stage(x, input_weight(params))
     h = stage["h0"] + p["temporal_embed"]  # (B, T, H)
     # Q, K and V as one flat (B*T, H) @ (H, 3H) GEMM
     w_qkv = np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)

@@ -139,7 +139,7 @@ def sign_normalize(q: np.ndarray) -> np.ndarray:
     flip = w < 0.0
     if q.ndim > 0 and q.shape[-1] == 4:
         zero_w = w == 0.0
-        if np.any(zero_w):
+        if zero_w.any():
             # tie-break on the first nonzero vector component
             x, y, z = q[..., 1], q[..., 2], q[..., 3]
             tie = np.where(x != 0.0, x, np.where(y != 0.0, y, z))

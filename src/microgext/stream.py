@@ -96,32 +96,35 @@ class ModelPredictor:
     """Incremental forward pass of trained ModelParams over a sliding window.
 
     ``push(features)`` runs the per-joint stage on one frame's (J, D)
-    features and stores the row [h0 | h0 @ [Wqk | V Wc | V Ws_a | Ws_h]]
-    of 2H + 8 + 5 + 5 columns, where Wqk = Wq Wkᵀ / √H, Ws_a = w_state[:H]
-    and Ws_h = w_state[H:]. ``__call__()`` adds each window position's TE
-    row ([TE | TE times the same columns], zero under Ws_h, which reads h0
-    and not h = h0 + TE) to the rows of the last T pushed frames (the
-    caller pushes at least T first), so the first H columns hold the keys h
-    and the next H the folded queries h Wqk. Then attn = softmax(h Wqk hᵀ),
-    class_logits = mean_t(attn_t) (V Wc) + b_class and state_logits =
-    attn (V Ws_a) + h0 Ws_h + b_state, so it returns ``(class_probs (8,),
-    state_logits (T, 5))`` as ``forward_batch`` would for that window, up
-    to float rounding. The biases are read at call time.
+    features, with the input weight stacked once here, and stores the row
+    [h0 | h0 @ [Wqk | V Wc / T | V Ws_a | Ws_h]] of 2H + 8 + 5 + 5 columns,
+    where Wqk = Wq Wkᵀ / √H, Ws_a = w_state[:H] and Ws_h = w_state[H:].
+    ``__call__()`` adds each window position's TE row ([TE | TE times the
+    same columns], zero under Ws_h, which reads h0 and not h = h0 + TE) to
+    the rows of the last T pushed frames (the caller pushes at least T
+    first), so the first H columns hold the keys h and the next H the
+    folded queries h Wqk. Then attn = softmax(h Wqk hᵀ), class_logits =
+    sum_t(attn_t) (V Wc / T) + b_class, the frame mean with its 1/T folded
+    into the class columns, and state_logits = attn (V Ws_a) + h0 Ws_h +
+    b_state, so it returns ``(class_probs (8,), state_logits (T, 5))`` as
+    ``forward_batch`` would for that window, up to float rounding. The
+    biases are read at call time.
     """
 
     def __init__(self, params: network.ModelParams):
         self.params = params
         p = params.tensors
         hidden = params.hp.hidden
+        self._w_in = network.input_weight(params)
         w_qk = (p["wq"] @ p["wk"].T) * (1.0 / math.sqrt(hidden))
-        w_v = p["wv"] @ np.concatenate([p["w_class"], p["w_state"][:hidden]], axis=1)
+        w_v = p["wv"] @ np.concatenate([p["w_class"] / T_WINDOW, p["w_state"][:hidden]], axis=1)
         w_h = np.concatenate([w_qk, w_v], axis=1)  # the columns that h = h0 + TE feeds
         self._w_row = np.concatenate([w_h, p["w_state"][hidden:]], axis=1)
         width = hidden + self._w_row.shape[1]
         self._te_row = np.zeros((T_WINDOW, width))
         self._te_row[:, :hidden] = p["temporal_embed"]
         self._te_row[:, hidden : hidden + w_h.shape[1]] = p["temporal_embed"] @ w_h
-        # where the h, query, V Wc and V Ws_a blocks end
+        # where the h, query, V Wc / T and V Ws_a blocks end
         self._ends = tuple(np.cumsum([hidden, hidden, network.N_CLASSES, network.N_STATES]).tolist())
         # the ring stores a frame's row twice, at slots i and i + T, so the
         # last T frames in time order are always the view [next, next + T)
@@ -132,7 +135,7 @@ class ModelPredictor:
     def push(self, features: np.ndarray) -> None:
         if features.shape != network.INPUT_SHAPE[1:]:
             raise network.ShapeMismatch(f"expected frame features {network.INPUT_SHAPE[1:]}, got {features.shape}")
-        h0 = network.joint_stage(self.params, features)["h0"]
+        h0 = network.joint_stage(features, self._w_in)["h0"]
         i = self._next
         row = self._rows[i]
         row[: h0.size] = h0
@@ -146,9 +149,13 @@ class ModelPredictor:
         n = self._next
         window = np.add(self._rows[n : n + T_WINDOW], self._te_row, out=self._window)
         attn = losses.softmax(window[:, h_end:q_end] @ window[:, :h_end].T)
-        class_logits = (attn.sum(axis=0) / T_WINDOW) @ window[:, q_end:c_end] + p["b_class"]
+        class_logits = attn.sum(axis=0) @ window[:, q_end:c_end] + p["b_class"]
         state_logits = attn @ window[:, c_end:s_end] + window[:, s_end:] + p["b_state"]
         return network.checked_class_probs(class_logits, state_logits, self.params.tau), state_logits
+
+
+# the swiping sub-states' positions 0-3, as the expectation weights them
+_SWIPE_POSITIONS = np.arange(4.0)
 
 
 def swipe_progress(state_logits: np.ndarray):
@@ -165,7 +172,7 @@ def swipe_progress(state_logits: np.ndarray):
     total = sub.sum()
     if total <= 0.0:
         return None
-    return float((sub / total) @ np.arange(4) / 3.0)
+    return float((sub / total) @ _SWIPE_POSITIONS) / 3.0
 
 
 class LatencyHistogram:

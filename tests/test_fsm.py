@@ -11,6 +11,16 @@ from .fsm_reference import TableFsm, make_probs
 
 A, B, C = GestureClass.FIST, GestureClass.OPEN, GestureClass.SWIPE
 NULL = GestureClass.NULL
+
+
+def peaked_with(entries: dict[int, float]) -> np.ndarray:
+    """make_probs(A, 0.97) with the given entries replaced."""
+    p = make_probs(A, 0.97)
+    for index, value in entries.items():
+        p[index] = value
+    return p
+
+
 SYMBOLS = [
     (cls, p)
     for cls in (A, B, C, NULL)
@@ -100,6 +110,27 @@ class TestStepSemantics:
         bad = np.where(np.arange(8) == 1, -bad[1], bad)
         with pytest.raises(MalformedProbs):
             fsm_step(FsmState.initial(), bad, cfg)
+
+    @pytest.mark.parametrize("probs, message", [
+        (peaked_with({2: np.nan}), "finite and non-negative"),
+        (peaked_with({2: np.inf}), "finite and non-negative"),
+        (peaked_with({2: -np.inf}), "finite and non-negative"),
+        (peaked_with({2: np.inf, 3: -np.inf}), "finite and non-negative"),
+        (peaked_with({1: -0.03 / 7}), "finite and non-negative"),
+        (np.array([1.1, -0.1, 0, 0, 0, 0, 0, 0]), "finite and non-negative"),  # sums to 1
+        (peaked_with({0: make_probs(A, 0.97)[0] + 2e-5}), "sum to 1.000020"),
+        (np.array([1e308, 1e308, 0, 0, 0, 0, 0, 0]), "sum to inf"),  # finite entries
+        (make_probs(A, 0.97)[None], "got shape"),
+    ])
+    def test_malformed_probs_raise(self, probs, message):
+        with pytest.raises(MalformedProbs, match=message), np.errstate(over="ignore"):  # 1e308 + 1e308
+            fsm_step(FsmState.initial(), probs, FsmConfig())
+
+    def test_negative_zero_passes(self):
+        probs = make_probs(A, 1.0)
+        probs[1] = -0.0
+        state, fired = fsm_step(FsmState.initial(), probs, FsmConfig())
+        assert (state.phase, state.candidate, fired) == (Phase.S2, A, None)
 
     def test_state_invariants(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,35 @@ import pytest
 from microgext import losses
 
 
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """The three-temporary formula ``losses.softmax`` must equal bit for bit."""
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmax:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8,), (20, 5), (32, 20, 20)])
+    def test_matches_reference_bit_for_bit(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        logits = (rng.normal(0.0, 8.0, shape)).astype(dtype)
+        before = logits.copy()
+        got = losses.softmax(logits)
+        want = reference_softmax(logits)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(logits, before)  # never writes to its input
+
+    def test_strided_input_matches_reference(self):
+        logits = np.random.default_rng(5).normal(0.0, 3.0, (32, 20, 20)).transpose(0, 2, 1)
+        before = logits.copy()
+        got = losses.softmax(logits)
+        assert got.tobytes() == reference_softmax(logits).tobytes()
+        np.testing.assert_array_equal(logits, before)
+
+
 class TestCrossEntropy:
     def test_uniform_logits_analytic(self):
         logits = np.zeros((4, 8))

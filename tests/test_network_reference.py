@@ -63,7 +63,7 @@ def test_loss_logits_and_gradients_match_reference(hidden, batch, seed):
 @pytest.mark.parametrize("hidden", [8, 64, 256])
 def test_joint_stage_matches_reference(hidden):
     params, x, _, _ = probe(hidden, 7, seed=2)
-    h0 = network.joint_stage(params, x)["h0"]
+    h0 = network.joint_stage(x, network.input_weight(params))["h0"]
     ref_h0 = reference.joint_stage(params, x)["h0"]
     assert h0.shape == ref_h0.shape == (7, INPUT_SHAPE[0], hidden)
     assert max_rel(h0, ref_h0) <= OUTPUT_RTOL
@@ -73,8 +73,9 @@ def test_joint_stage_matches_reference(hidden):
 def test_joint_stage_on_one_frame_equals_its_row_of_the_batch(hidden):
     # the streaming predictor runs the stage on one (J, D) frame per push
     params, x, _, _ = probe(hidden, 4, seed=3)
-    batched = network.joint_stage(params, x)["h0"]
+    w_in = network.input_weight(params)
+    batched = network.joint_stage(x, w_in)["h0"]
     for b, t in [(0, 0), (1, 7), (3, INPUT_SHAPE[0] - 1)]:
-        one = network.joint_stage(params, x[b, t])["h0"]
+        one = network.joint_stage(x[b, t], w_in)["h0"]
         assert one.shape == (hidden,)
         np.testing.assert_array_equal(one, batched[b, t])

@@ -124,8 +124,14 @@ def mismatches(sides: list[Side]) -> list[str]:
 
 
 def report(sides: list[Side]) -> list[str]:
-    p50, p99 = ({side.label: float(np.percentile(frame_minima(side), q)) for side in sides} for q in (50, 99))
-    a, b, floor = (side.label for side in sides)
+    return ratio_lines({side.label: frame_minima(side) for side in sides})
+
+
+def ratio_lines(minima: dict[str, np.ndarray]) -> list[str]:
+    """The p50 and p99 of each side's minima, in the order A, B, A', and
+    the B/A and A'/A ratios of both."""
+    p50, p99 = ({label: float(np.percentile(values, q)) for label, values in minima.items()} for q in (50, 99))
+    a, b, floor = minima
     lines = [f"{'':10s} {'p50 ms':>9s} {'p99 ms':>9s}"]
     lines += [f"{label:10s} {p50[label]:9.4f} {p99[label]:9.4f}" for label in p50]
     lines.append(f"{'B/A':10s} {p50[b] / p50[a]:9.3f} {p99[b] / p99[a]:9.3f}")
