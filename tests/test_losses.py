@@ -20,7 +20,7 @@ class TestSoftmax:
     @pytest.mark.parametrize("shape", [(8,), (20, 5), (32, 20, 20)])
     def test_matches_reference_bit_for_bit(self, dtype, shape):
         rng = np.random.default_rng(sum(shape))
-        logits = (rng.normal(0.0, 8.0, shape)).astype(dtype)
+        logits = rng.normal(0.0, 8.0, shape).astype(dtype)
         before = logits.copy()
         got = losses.softmax(logits)
         want = reference_softmax(logits)

@@ -15,7 +15,7 @@ Null, seed 0), and the first ``STEPS`` batches of the first epoch that
 rate 2e-3, master seed 5). Every copy then runs the same steps on those
 arrays: ``network.loss_and_grads``, ``training.Adam.step`` and a new
 ``network.ModelParams``, from the float32 initial parameters ``fit``
-starts from. Each of ``ROUNDS`` (10) rounds runs the steps once on every
+starts from. Each of ``ROUNDS`` (20) rounds runs the steps once on every
 copy, from the same start, and rotates the order of the copies from round
 to round. Each step keeps its minimum over the rounds, and the B/A ratio of
 the p50 and p99 of those minima is printed next to the A'/A ratio.
@@ -42,7 +42,7 @@ from ab_frames import load_package, ratio_lines  # noqa: E402
 SUBJECTS, REPS, NULL_REPS, DATASET_SEED, FOLD = 10, 20, 20, 0, 0
 CI_HIDDEN, CI_LEARNING_RATE, CI_MASTER_SEED = 64, 2e-3, 5
 STEPS = 30
-ROUNDS = 10
+ROUNDS = 20
 
 
 class Side:
